@@ -93,8 +93,7 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
             ideals = cyclotomic.ideal_factors(k)
             row["f"] = ideals[0].f
             factors = []
-            for ideal in ideals:
-                crit = cyclotomic.criterion(ctx, k, ideal)
+            for ideal, crit in zip(ideals, cyclotomic.criterion(ctx, k)):
                 div = ideal.g.divides(s2)
                 factors.append(
                     {"g": str(ideal.g), "criterion": crit, "direct": div, "match": crit == div}

@@ -8,6 +8,11 @@ chi(alpha) = zeta_k, the normalized sum K = chi(4) J(chi, chi), reduction
 modulo the prime ideals above 2, and the divisibility test: the minimal
 polynomial attached to an ideal factor divides the sequence polynomial
 exactly when (K + 1)/2 reduces to zero modulo that ideal.
+
+Phi_k is built as the Moebius product of the x^d - 1 over d | k, and every
+element enters the power basis through one routine, `_reduce`: monic long
+division by Phi_k, exact, in O(k) memory.  It works in int64 when an a
+priori bound allows and in Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -17,99 +22,73 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FieldCtx, multiplicative_order
+from .fields import FieldCtx, euler_phi, multiplicative_order, prime_factors
 from .gf2poly import Gf2Poly, factor_squarefree
 
-_MAX_REDUCTION_COEFF = 1 << 40  # overflow guard for int64 matrix reductions
 
-
-def _poly_mul_z(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+def _mobius_factors(k: int) -> list[tuple[int, int]]:
+    """(d, mu(k/d)) for every divisor d of k with mu(k/d) != 0."""
+    out = [(k, 1)]
+    for r in prime_factors(k):
+        out += [(d // r, -e) for d, e in out]
     return out
 
 
-def _poly_divmod_z(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    # exact integer division when it applies (monic or divisible leading terms)
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c, r = divmod(a[-1], b[-1])
-        if r != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] -= c * bi
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+def _mobius_product(factors) -> np.ndarray:
+    """prod (x^d - 1)^e over (d, e) in factors, e = +-1; int64, constant first.
+
+    Multiplies first and then divides exactly, so every partial result is a
+    polynomial.  int64 arithmetic wraps modulo 2^64 and both steps commute
+    with that wrap, so the result is exact whenever its own coefficients fit.
+    """
+    out = np.ones(1, dtype=np.int64)
+    for d, e in sorted(factors, key=lambda f: -f[1]):
+        if e > 0:
+            nxt = np.zeros(len(out) + d, dtype=np.int64)
+            nxt[d:] += out
+            nxt[:-d] -= out
+            out = nxt
+        else:
+            # out = quo * (x^d - 1) means quo[i] = quo[i - d] - out[i]
+            padded = np.zeros(-(-len(out) // d) * d, dtype=np.int64)
+            padded[: len(out)] = out
+            quo = -np.cumsum(padded.reshape(-1, d), axis=0).ravel()
+            if quo[len(out) - d :].any():
+                raise ArithmeticError(f"x^{d} - 1 does not divide the partial product")
+            out = quo[: len(out) - d]
+    return out
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients (constant first) of the k-th cyclotomic polynomial."""
-    if k == 1:
-        return (-1, 1)
-    num = [0] * (k + 1)
-    num[0], num[k] = -1, 1  # x^k - 1
-    den = [1]
-    for d in range(1, k):
-        if k % d == 0:
-            den = _poly_mul_z(den, list(cyclotomic_poly(d)))
-    q, r = _poly_divmod_z(num, den)
-    if r:
-        raise ArithmeticError("cyclotomic division left a remainder")
-    return tuple(q)
+    return tuple(int(c) for c in _mobius_product(_mobius_factors(k)))
 
 
-class _KContext:
-    """Cached reduction machinery for one k: power-basis tables mod Phi_k."""
-
-    def __init__(self, k: int):
-        if k < 3 or k % 2 == 0:
-            raise ValueError(f"k = {k} must be an odd integer >= 3")
-        self.k = k
-        phi_coeffs = cyclotomic_poly(k)
-        self.phi_deg = len(phi_coeffs) - 1
-        # rows[j] = coordinates of x^j mod Phi_k, enough rows for exponent
-        # vectors of length k and for products of two reduced elements
-        n_rows = max(k, 2 * self.phi_deg - 1)
-        rows = []
-        cur = [1] + [0] * (self.phi_deg - 1)
-        for _ in range(n_rows):
-            rows.append(list(cur))
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for i in range(self.phi_deg):
-                    nxt[i] -= lead * phi_coeffs[i]
-            cur = nxt
-        self.reduction = np.array(rows, dtype=np.int64)
-        self.max_reduction_coeff = int(np.abs(self.reduction).max())
-        if self.max_reduction_coeff > _MAX_REDUCTION_COEFF:
-            raise OverflowError(f"reduction table coefficients too large for k = {k}")
-        # B with (1 - x) * B(x) == Phi_k(1) mod Phi_k, for exact division tests
-        phi_at_1 = sum(phi_coeffs)
-        shifted = list(phi_coeffs)
-        shifted[0] -= phi_at_1
-        b, rem = _poly_divmod_z(shifted, [-1, 1])  # (Phi(x) - Phi(1)) / (x - 1)
-        if rem:
-            raise ArithmeticError("exact division setup failed")
-        self.phi_at_1 = phi_at_1
-        self.inv_one_minus_zeta_num = b  # (1 - zeta)^(-1) = B(zeta) / Phi_k(1)
+def _reduce(k: int, vec) -> tuple[int, ...]:
+    """Coordinates of sum vec[j] x^j modulo Phi_k, exactly, by monic long division."""
+    factors = _mobius_factors(k)
+    phi = _mobius_product(factors)
+    n = len(phi) - 1
+    psi = _mobius_product([(d, -e) for d, e in factors if d != k])
+    # Each quotient coefficient is a sum of vec[j] times coefficients of
+    # Psi_k = (x^k - 1)/Phi_k, because Phi_k is palindromic and 1/Phi_k =
+    # -Psi_k (1 + x^k + x^2k + ...); so no partial remainder exceeds
+    # |vec|_1 (1 + max|Psi_k| |Phi_k|_1), and below 2^63 int64 is exact.
+    vec = [int(c) for c in vec]
+    bound = sum(map(abs, vec)) * (1 + int(np.abs(psi).max()) * int(np.abs(phi).sum()))
+    dtype = np.int64 if bound < 2**63 else object
+    rem = np.zeros(max(len(vec), n), dtype=dtype)
+    rem[: len(vec)] = vec
+    head = phi[:n].astype(dtype)
+    for i in range(len(rem) - 1, n - 1, -1):
+        if rem[i]:
+            rem[i - n : i] -= rem[i] * head
+    return tuple(int(c) for c in rem[:n])
 
 
-@lru_cache(maxsize=None)
-def _kctx(k: int) -> _KContext:
-    return _KContext(k)
+def _require_odd_k(k: int) -> None:
+    if k < 3 or k % 2 == 0:
+        raise ValueError(f"k = {k} must be an odd integer >= 3")
 
 
 @dataclass(frozen=True)
@@ -120,14 +99,14 @@ class CycInt:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        expected = _kctx(self.k).phi_deg
+        _require_odd_k(self.k)
+        expected = euler_phi(self.k)
         if len(self.coeffs) != expected:
             raise ValueError(f"need {expected} coordinates for k = {self.k}")
 
     @classmethod
     def from_integer(cls, k: int, n: int) -> "CycInt":
-        phi = _kctx(k).phi_deg
-        return cls(k, (n,) + (0,) * (phi - 1))
+        return cls(k, (n,) + (0,) * (euler_phi(k) - 1))
 
     @classmethod
     def zeta_power(cls, k: int, j: int) -> "CycInt":
@@ -138,16 +117,9 @@ class CycInt:
     @classmethod
     def from_exponent_counts(cls, k: int, counts) -> "CycInt":
         """sum counts[j] * zeta^j reduced into the power basis."""
-        ctx = _kctx(k)
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (k,):
+        if np.shape(counts) != (k,):
             raise ValueError(f"need {k} exponent classes")
-        bound = int(np.abs(counts).max(initial=0)) * ctx.max_reduction_coeff * k
-        if bound < 2**62:
-            coords = counts @ ctx.reduction[:k]
-        else:  # exact object-integer fallback; never hit at desk scale
-            coords = counts.astype(object) @ ctx.reduction[:k].astype(object)
-        return cls(k, tuple(int(c) for c in coords))
+        return cls(k, _reduce(k, counts))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -185,18 +157,8 @@ class CycInt:
 def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
     """Exact product reduced modulo Phi_k."""
     a._check(b)
-    ctx = _kctx(a.k)
-    phi = ctx.phi_deg
-    amax = max((abs(c) for c in a.coeffs), default=0)
-    bmax = max((abs(c) for c in b.coeffs), default=0)
-    bound = amax * bmax * phi * ctx.max_reduction_coeff * (2 * phi)
-    if 0 < bound < 2**62:
-        conv = np.convolve(np.array(a.coeffs, dtype=np.int64), np.array(b.coeffs, dtype=np.int64))
-        coords = conv @ ctx.reduction[: len(conv)]
-    else:  # exact object-integer fallback for very large coordinates
-        conv = np.convolve(np.array(a.coeffs, dtype=object), np.array(b.coeffs, dtype=object))
-        coords = conv @ ctx.reduction[: len(conv)].astype(object)
-    return CycInt(a.k, tuple(int(c) for c in coords))
+    conv = np.convolve(np.array(a.coeffs, dtype=object), np.array(b.coeffs, dtype=object))
+    return CycInt(a.k, _reduce(a.k, conv))
 
 
 def cyc_conj(a: CycInt) -> CycInt:
@@ -204,9 +166,7 @@ def cyc_conj(a: CycInt) -> CycInt:
     counts = [0] * a.k
     for i, c in enumerate(a.coeffs):
         counts[(-i) % a.k] += c
-    ctx = _kctx(a.k)
-    coords = np.array(counts, dtype=object) @ ctx.reduction[: a.k]
-    return CycInt(a.k, tuple(int(c) for c in coords))
+    return CycInt(a.k, _reduce(a.k, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -223,39 +183,19 @@ def _require_valid_k(ctx: FieldCtx, k: int) -> None:
         raise ValueError(f"k = {k} does not divide q - 1 = {ctx.q - 1}")
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
-    """The canonical order-k character: alpha^t maps to zeta_k^(t mod k)."""
-
-    ctx: FieldCtx
-    k: int
-
-    def __post_init__(self):
-        _require_valid_k(self.ctx, self.k)
-
-    def value_exponent(self, t: int) -> int:
-        return t % self.k
-
-
 def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
     """K = chi(4) * sum over i of chi(alpha^i) chi(1 - alpha^i), exactly.
 
     Accumulates one integer count per exponent class mod k, then performs a
-    single reduction into the power basis.  Cached per (ctx, k): the
-    divisibility test evaluates K once per ideal factor.
+    single reduction into the power basis.
     """
     _require_valid_k(ctx, k)
-    cached = ctx.scratch_cache.get(("jacobi_K", k))
-    if cached is not None:
-        return cached
     q = ctx.q
     i = np.arange(1, q - 1, dtype=np.int64)
     dlog4 = int(ctx.dlog_table[ctx.encode(ctx.from_int(4))])
     classes = (i + ctx.zech_table[i] + dlog4) % k
     counts = np.bincount(classes, minlength=k)
-    out = CycInt.from_exponent_counts(k, counts)
-    ctx.scratch_cache[("jacobi_K", k)] = out
-    return out
+    return CycInt.from_exponent_counts(k, counts)
 
 
 def jacobi_with_rho(ctx: FieldCtx, k: int) -> CycInt:
@@ -272,13 +212,14 @@ def jacobi_with_rho(ctx: FieldCtx, k: int) -> CycInt:
 
 def check_eq3(kval: CycInt, q: int) -> bool:
     """Exact test that kval + q is divisible by 2 (1 - zeta_k) in Z[zeta_k]."""
-    ctx = _kctx(kval.k)
-    w = list(kval.coeffs)
+    phi = np.array(cyclotomic_poly(kval.k), dtype=object)
+    # (1 - zeta)^(-1) = B(zeta) / Phi(1) with B = (Phi(x) - Phi(1)) / (x - 1),
+    # whose coefficient j is the sum of the coefficients of Phi above j
+    b = np.cumsum(phi[::-1])[::-1][1:]
+    w = np.array(kval.coeffs, dtype=object)
     w[0] += q
-    num = _poly_mul_z(w, ctx.inv_one_minus_zeta_num)
-    coords = np.array(num, dtype=object) @ ctx.reduction[: len(num)]
-    denom = 2 * ctx.phi_at_1
-    return all(int(c) % denom == 0 for c in coords)
+    denom = 2 * int(phi.sum())
+    return all(c % denom == 0 for c in _reduce(kval.k, np.convolve(w, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +273,7 @@ def _coprime_cosets(k: int) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def ideal_factors(k: int) -> tuple[IdealFactor, ...]:
     """The prime ideals above 2, one per irreducible factor of Phi_k mod 2."""
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k = {k} must be an odd integer >= 3")
+    _require_odd_k(k)
     f = multiplicative_order(2, k)
     phi_mod2 = Gf2Poly.from_coeffs(cyclotomic_poly(k))
     n_factors = phi_mod2.degree // f
@@ -367,12 +307,12 @@ def half_K_plus_one(ctx: FieldCtx, k: int) -> CycInt:
     return CycInt(k, tuple(c >> 1 for c in w))
 
 
-def criterion(ctx: FieldCtx, k: int, ideal: IdealFactor) -> bool:
-    """True iff (K + 1)/2 lies in the given prime ideal above 2.
+def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
+    """For each ideal of ideal_factors(k), in order: True iff (K + 1)/2 lies in it.
 
     Equivalent to: the minimal polynomial g attached to the ideal divides
     the sequence polynomial of the SLCE sequence for ctx.  Since k is odd,
     chi(-1) = 1 and no sign adjustment is needed.
     """
     u = half_K_plus_one(ctx, k)
-    return reduce_mod_ideal(u, ideal).is_zero()
+    return tuple(reduce_mod_ideal(u, ideal).is_zero() for ideal in ideal_factors(k))

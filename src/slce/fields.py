@@ -67,11 +67,10 @@ def multiplicative_order(a: int, n: int) -> int:
 
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    order = 1
-    x = a % n
-    while x != 1:
-        x = (x * a) % n
-        order += 1
+    order = euler_phi(n)
+    for r in prime_factors(order):
+        while order % r == 0 and pow(a, order // r, n) == 1:
+            order //= r
     return order
 
 
@@ -235,7 +234,6 @@ class FieldCtx:
         self.alpha = FieldElt(alpha)
         self._trace_basis = self._compute_trace_basis()
         self._build_tables(alpha)
-        self.scratch_cache: dict = {}  # memo space for derived per-field values
 
     # -- construction helpers -------------------------------------------------
 

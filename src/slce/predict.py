@@ -57,19 +57,15 @@ class PureCaseParams:
 
 
 def pure_case_params(p: int, m: int, k: int) -> PureCaseParams:
-    """Scan for the least t with p^t = -1 (mod k); set s = m/(2t) if exact."""
+    """Find the least t with p^t = -1 (mod k); set s = m/(2t) if exact."""
     if k < 3 or k % 2 == 0:
         raise ValueError(f"k = {k} must be an odd integer >= 3")
     if math.gcd(p, k) != 1:
         raise ValueError(f"gcd({p}, {k}) != 1")
     order = multiplicative_order(p, k)
-    t = None
-    x = 1
-    for i in range(1, order + 1):
-        x = (x * p) % k
-        if x == k - 1:
-            t = i
-            break
+    # -1 is the only element of order 2 in the cyclic group <p>, so it is a
+    # power of p iff p^(order/2) = -1, and then t = order/2 is the least one
+    t = order // 2 if order % 2 == 0 and pow(p, order // 2, k) == k - 1 else None
     if t is None:
         return PureCaseParams(p, m, k, None, None, False, "no power of p is -1 mod k")
     if m % (2 * t) != 0:

@@ -1,11 +1,15 @@
 import json
 import random
+import tracemalloc
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
+from slce import cyclotomic
 from slce.cyclotomic import (
-    CharacterSpec,
     CycInt,
+    _reduce,
     check_eq3,
     criterion,
     cyc_conj,
@@ -20,6 +24,88 @@ from slce.cyclotomic import (
 from slce.fields import build_field
 from slce.gf2poly import Gf2Poly, all_ones_poly, poly_from_seq
 from slce.sequences import generate
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the recursive-division Phi_k and the dense-table reduction that
+# the Moebius product and `_reduce` replaced.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _phi_by_division(k):
+    """Phi_k = (x^k - 1) / prod of Phi_d over the proper divisors d of k."""
+    den = np.ones(1, dtype=np.int64)
+    for d in range(1, k):
+        if k % d == 0:
+            den = np.convolve(den, _phi_by_division(d))
+    rem = np.zeros(k + 1, dtype=np.int64)
+    rem[0], rem[k] = -1, 1
+    n = len(den) - 1
+    quo = np.zeros(k + 1 - n, dtype=np.int64)
+    for i in range(k, n - 1, -1):
+        quo[i - n] = rem[i]
+        rem[i - n : i + 1] -= rem[i] * den
+    assert not rem.any()
+    return quo
+
+
+def _table_reduce(k, vec):
+    """sum vec[j] * (x^j mod Phi_k): the rows of the old k x phi(k) table, one at a time."""
+    phi = _phi_by_division(k)
+    n = len(phi) - 1
+    acc = np.zeros(n, dtype=np.int64)
+    row = np.zeros(n, dtype=np.int64)
+    row[0] = 1
+    top = 0
+    for v in vec:
+        acc += v * row
+        top = max(top, int(np.abs(row).max()))
+        lead = row[-1]
+        row = np.roll(row, 1)
+        row[0] = 0
+        row -= lead * phi[:n]
+    assert top * sum(abs(v) for v in vec) < 2**62  # int64 stayed exact
+    return tuple(int(c) for c in acc)
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [pytest.param(range(3, 400, 2), id="odd-below-400"), pytest.param([1155, 15015], id="non-flat")],
+)
+def test_reduce_and_phi_match_oracles(ks):
+    rng = np.random.default_rng(7)
+    for k in ks:
+        phi = cyclotomic_poly(k)
+        assert phi == tuple(int(c) for c in _phi_by_division(k)), k
+        n = len(phi) - 1
+        counts = rng.integers(-1000, 1000, size=k)
+        assert CycInt.from_exponent_counts(k, counts).coeffs == _table_reduce(k, counts), k
+        product = [int(c) for c in rng.integers(-50, 50, size=2 * n - 1)]  # as long as a * b
+        assert _reduce(k, product) == _table_reduce(k, product), k
+
+
+def test_reduce_falls_back_to_python_ints():
+    # every input fits in int64; some reduced coordinates do not
+    assert CycInt.from_exponent_counts(3, [2**62, 0, -(2**62)]) == CycInt(3, (2**63, 2**62))
+    k = 105  # some x^j mod Phi_105 have a coordinate +-2
+    for j in range(k):
+        vec = [0] * k
+        vec[j] = 2**62
+        scaled = CycInt.from_exponent_counts(k, vec).coeffs
+        assert scaled == tuple(2**62 * c for c in CycInt.zeta_power(k, j).coeffs), j
+
+
+def test_reduction_memory_is_linear_in_k():
+    k = 9841  # phi(k) = 9072: a k x phi(k) int64 table alone is about 0.7 GB
+    counts = np.random.default_rng(0).integers(0, 50, size=k)
+    tracemalloc.start()
+    try:
+        CycInt.from_exponent_counts(k, counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_cyclotomic_poly_fixtures():
@@ -166,13 +252,12 @@ def test_distinct_zeta_powers_stay_distinct_mod_every_ideal(k):
 
 
 def test_criterion_reference_cases():
-    assert criterion(build_field(19, 2), 5, ideal_factors(5)[0]) is True
-    assert criterion(build_field(5, 2), 3, ideal_factors(3)[0]) is False
-    ctx = build_field(3, 6)
-    assert all(criterion(ctx, 7, ideal) for ideal in ideal_factors(7))
+    assert criterion(build_field(19, 2), 5) == (True,)
+    assert criterion(build_field(5, 2), 3) == (False,)
+    assert criterion(build_field(3, 6), 7) == (True, True)
 
 
-def test_half_K_plus_one_hard_error_path():
+def test_half_K_plus_one_hard_error_path(monkeypatch):
     # shifting K by 1 breaks the parity guarantee and must raise
     ctx = build_field(13, 1)
     k = jacobi_K(ctx, 3)
@@ -181,7 +266,7 @@ def test_half_K_plus_one_hard_error_path():
     w[0] += 1
     assert all(c % 2 == 0 for c in w)
     assert u == CycInt(3, tuple(c // 2 for c in w))
-    ctx.scratch_cache[("jacobi_K", 3)] = CycInt(3, (k.coeffs[0] + 1, k.coeffs[1]))
+    monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: CycInt(3, (k.coeffs[0] + 1, k.coeffs[1])))
     with pytest.raises(ArithmeticError):
         half_K_plus_one(ctx, 3)
 
@@ -194,8 +279,8 @@ def test_criterion_matches_direct_divisibility(p, m):
     for k in range(3, q - 1, 2):
         if (q - 1) % k != 0:
             continue
-        for ideal in ideal_factors(k):
-            assert criterion(ctx, k, ideal) == ideal.g.divides(s2), (p, m, k, str(ideal.g))
+        direct = tuple(ideal.g.divides(s2) for ideal in ideal_factors(k))
+        assert criterion(ctx, k) == direct, (p, m, k)
 
 
 def test_full_product_divisibility_equals_all_factors():
@@ -204,20 +289,6 @@ def test_full_product_divisibility_equals_all_factors():
     k = 7
     per_factor = [ideal.g.divides(s2) for ideal in ideal_factors(k)]
     assert all_ones_poly(k).divides(s2) == all(per_factor)
-
-
-def test_character_spec():
-    ctx = build_field(19, 2)
-    chi = CharacterSpec(ctx, 5)
-    assert chi.value_exponent(0) == 0  # chi(1) = 1
-    assert chi.value_exponent(7) == 2
-    assert chi.value_exponent(360) == 0
-    # the character has order exactly k: exponents of alpha^t cover all classes
-    assert {chi.value_exponent(t) for t in range(5)} == set(range(5))
-    with pytest.raises(ValueError):
-        CharacterSpec(ctx, 4)
-    with pytest.raises(ValueError):
-        CharacterSpec(ctx, 7)
 
 
 def test_json_emission():

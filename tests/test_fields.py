@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -181,3 +182,16 @@ def test_number_helpers():
     assert multiplicative_order(2, 7) == 3
     with pytest.raises(ValueError):
         multiplicative_order(6, 9)
+
+
+def test_multiplicative_order_matches_powering_loop():
+    # the loop the divisor test replaced: multiply by a until reaching 1
+    for n in range(2, 200):
+        for a in range(1, n):
+            if math.gcd(a, n) != 1:
+                continue
+            order, x = 1, a
+            while x != 1:
+                x = (x * a) % n
+                order += 1
+            assert multiplicative_order(a, n) == order, (a, n)
