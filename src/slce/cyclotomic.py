@@ -286,15 +286,16 @@ def ideal_factors(k: int) -> tuple[IdealFactor, ...]:
     return tuple(IdealFactor(k=k, g=g, f=f) for g in gs)
 
 
+def _parity(a: CycInt) -> Gf2Poly:
+    """The coordinates of a mod 2, as a polynomial in zeta over GF(2)."""
+    return Gf2Poly(int("".join("1" if c & 1 else "0" for c in reversed(a.coeffs)), 2))
+
+
 def reduce_mod_ideal(a: CycInt, ideal: IdealFactor) -> Gf2Poly:
     """Residue of a in GF(2)[x]/(g): coordinates mod 2, then zeta -> x mod g."""
     if a.k != ideal.k:
         raise ValueError(f"mismatched cyclotomic orders {a.k} and {ideal.k}")
-    bits = 0
-    for i, c in enumerate(a.coeffs):
-        if c & 1:
-            bits |= 1 << i
-    return Gf2Poly(bits) % ideal.g
+    return _parity(a) % ideal.g
 
 
 def half_K_plus_one(ctx: FieldCtx, k: int) -> CycInt:
@@ -314,5 +315,5 @@ def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     the sequence polynomial of the SLCE sequence for ctx.  Since k is odd,
     chi(-1) = 1 and no sign adjustment is needed.
     """
-    u = half_K_plus_one(ctx, k)
-    return tuple(reduce_mod_ideal(u, ideal).is_zero() for ideal in ideal_factors(k))
+    u = _parity(half_K_plus_one(ctx, k))
+    return tuple((u % ideal.g).is_zero() for ideal in ideal_factors(k))

@@ -22,8 +22,9 @@ computations at q = 37^3, 53^3, 109^3, 137^3, 11^3, 23^3, 11^6 and 3^11
 and by direct gcd computations at those sizes; it also reproduces the
 known h = 3 reference evaluation at ell = 23.
 
-Everything here is brute-force number theory at desk scale: class numbers
-by reduced-form counting, representations by linear scan.
+Class numbers are counted over reduced forms, O(ell) steps; the
+representation 4p^h = a^2 + ell b^2 comes from Cornacchia's algorithm in
+O(log p^h) steps.
 """
 
 from __future__ import annotations
@@ -211,32 +212,74 @@ class Index2Params:
         }
 
 
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p (Tonelli-Shanks), or None.
+
+    None when n is 0 or a non-residue mod p.
+    """
+    n %= p
+    if n == 0 or pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _cornacchia(p: int, ell: int, h: int) -> tuple[int, int] | None:
+    """(|a|, |b|) with 4M = a^2 + ell b^2, M = p^h, p not dividing ab; or None.
+
+    Modified Cornacchia (Cohen, Alg. 1.5.3): a square root of -ell mod p by
+    Tonelli-Shanks, Newton-lifted to M and made odd, is a root mod 4M; Euclid
+    on (2M, root) stops at the first remainder <= floor(2 sqrt(M)), which is
+    |a| if (4M - a^2)/ell is a square.  A root prime to p gives exactly the
+    solutions with p not dividing ab, so None means there are none.
+    """
+    root = _sqrt_mod_prime(-ell, p)
+    if root is None:
+        return None
+    modulus = p**h
+    lifted = p
+    while lifted < modulus:
+        lifted = min(lifted * lifted, modulus)
+        root = (root - (root * root + ell) * pow(2 * root, -1, lifted)) % lifted
+    if root % 2 == 0:
+        root += modulus  # M is odd
+    x, y = 2 * modulus, root
+    bound = math.isqrt(4 * modulus)
+    while y > bound:
+        x, y = y, x % y
+    b2, rem = divmod(4 * modulus - y * y, ell)
+    b_abs = math.isqrt(b2)
+    if rem != 0 or b_abs * b_abs != b2:
+        return None
+    return y, b_abs
+
+
 def represent(p: int, ell: int, h: int, e: int) -> tuple[int, int]:
     """Solve 4p^h = a^2 + ell b^2 with p not dividing ab and a = b mod 2.
 
-    The solution is unique up to signs; the sign of a is resolved by
-    a = -2 p^((e+h)/2) (mod ell) and b is returned as |b|.
+    The solution is unique up to signs and found by Cornacchia's algorithm
+    in O(log p^h) steps; the sign of a is resolved by
+    a = -2 p^((e+h)/2) (mod ell) and b is returned as |b|.  Requires p an
+    odd prime.
     """
-    target = 4 * p**h
-    candidates = []
-    for a_abs in range(1, math.isqrt(target) + 1):
-        rem = target - a_abs * a_abs
-        if rem % ell != 0:
-            continue
-        b2 = rem // ell
-        b_abs = math.isqrt(b2)
-        if b_abs * b_abs != b2:
-            continue
-        if (a_abs - b_abs) % 2 != 0:
-            continue
-        if a_abs % p == 0 or b_abs % p == 0:
-            continue
-        candidates.append((a_abs, b_abs))
-    if len(candidates) != 1:
-        raise ArithmeticError(
-            f"expected a unique representation 4*{p}^{h} = a^2 + {ell} b^2, found {candidates}"
-        )
-    a_abs, b_abs = candidates[0]
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p = {p} must be an odd prime")
+    solution = _cornacchia(p, ell, h)
+    if solution is None:
+        raise ArithmeticError(f"expected a unique representation 4*{p}^{h} = a^2 + {ell} b^2, found []")
+    a_abs, b_abs = solution
     if (e + h) % 2 != 0:
         raise ArithmeticError(f"(e + h)/2 is not integral for e={e}, h={h}")
     want = (-2 * pow(p, (e + h) // 2, ell)) % ell
@@ -371,7 +414,9 @@ def predict(p: int, m: int, k: int) -> Prediction:
     """Route to the applicable closed form; raise NoClosedForm otherwise."""
     if k < 3 or k % 2 == 0:
         raise ValueError(f"k = {k} must be an odd integer >= 3")
-    if (p**m - 1) % k != 0:
+    if m < 1:
+        raise ValueError(f"m = {m} must be a positive integer")
+    if pow(p, m, k) != 1:
         raise ValueError(f"k = {k} does not divide q - 1 = {p**m - 1}")
     params = pure_case_params(p, m, k)
     if params.applicable:

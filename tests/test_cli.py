@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -88,8 +89,20 @@ def test_predict_out_of_scope(capsys):
 def test_predict_invalid_k(capsys):
     rc, _ = run(["predict", "-p", "5", "-m", "2", "-k", "4"])
     assert rc == 2
+    capsys.readouterr()
     rc, _ = run(["predict", "-p", "5", "-m", "2", "-k", "7"])
     assert rc == 2
+    assert capsys.readouterr().err == "error: k = 7 does not divide q - 1 = 24\n"
+
+
+def test_predict_index2_large_class_number_is_fast():
+    # h = 7: a linear scan for 4p^h = a^2 + ell b^2 never finishes here
+    t0 = time.perf_counter()
+    rc, out = run(["predict", "-p", "229", "-m", "35", "-k", "71", "--json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    params = json.loads(out)["params"]
+    assert 4 * 229**7 == params["a"] ** 2 + 71 * params["b_abs"] ** 2
 
 
 def test_jacobi_fixture():

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from slce.cyclotomic import jacobi_K
-from slce.fields import build_field
+from slce.fields import build_field, is_prime
 from slce.gf2poly import all_ones_poly, minimal_polys_of_order, poly_from_seq
 from slce.predict import (
     Index2Params,
@@ -127,6 +128,81 @@ def test_represent_reference_case():
     assert (a - b_abs) % 2 == 0
 
 
+def represent_by_scan(p, ell, h, e):
+    # the linear scan over |a| that represent() replaced: ~2 p^(h/2) steps
+    target = 4 * p**h
+    candidates = []
+    for a_abs in range(1, math.isqrt(target) + 1):
+        rem = target - a_abs * a_abs
+        if rem % ell != 0:
+            continue
+        b2 = rem // ell
+        b_abs = math.isqrt(b2)
+        if b_abs * b_abs != b2:
+            continue
+        if (a_abs - b_abs) % 2 != 0:
+            continue
+        if a_abs % p == 0 or b_abs % p == 0:
+            continue
+        candidates.append((a_abs, b_abs))
+    if len(candidates) != 1:
+        raise ArithmeticError(
+            f"expected a unique representation 4*{p}^{h} = a^2 + {ell} b^2, found {candidates}"
+        )
+    a_abs, b_abs = candidates[0]
+    if (e + h) % 2 != 0:
+        raise ArithmeticError(f"(e + h)/2 is not integral for e={e}, h={h}")
+    want = (-2 * pow(p, (e + h) // 2, ell)) % ell
+    if a_abs % ell == want:
+        a = a_abs
+    elif (-a_abs) % ell == want:
+        a = -a_abs
+    else:
+        raise ArithmeticError(f"neither sign of a = {a_abs} satisfies the congruence mod {ell}")
+    return a, b_abs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def test_represent_matches_scan_oracle():
+    # ell = 3 mod 8 (11, 19, 43) gives odd a and b; p with -ell a non-residue
+    # mod p (equivalently p a non-residue mod ell) has no representation
+    odd_ab = no_rep = 0
+    for ell in (7, 11, 19, 23, 31, 43, 47, 71, 79, 103):
+        h, e = class_number(ell), (ell - 1) // 2
+        for p in range(3, 400, 2):
+            if not is_prime(p) or math.isqrt(4 * p**h) > 200_000:
+                continue
+            want = _outcome(represent_by_scan, p, ell, h, e)
+            assert _outcome(represent, p, ell, h, e) == want, (p, ell)
+            if isinstance(want, str):
+                assert want.endswith("found []"), (p, ell, want)
+                no_rep += 1
+            elif want[0] % 2:
+                odd_ab += 1
+    assert odd_ab >= 30 and no_rep >= 100
+
+
+def test_represent_rejects_p_not_an_odd_prime():
+    for p in (2, 9, 15):
+        with pytest.raises(ValueError, match="must be an odd prime"):
+            represent(p, 7, 1, 3)
+
+
+def test_represent_beyond_scan_reach():
+    # the scan needs ~2 p^3.5 = 3.7e8 steps here
+    p, ell, h, e = 229, 71, 7, 35
+    a, b_abs = represent(p, ell, h, e)
+    assert 4 * p**h == a * a + ell * b_abs * b_abs
+    assert a % p != 0 and b_abs % p != 0
+    assert a % ell == (-2 * pow(p, (e + h) // 2, ell)) % ell
+
+
 @pytest.mark.parametrize("p,ell,e", [(11, 7, 3), (23, 7, 3), (37, 7, 3), (53, 7, 3), (3, 23, 11), (13, 23, 11)])
 def test_represent_invariants(p, ell, e):
     h = class_number(ell)
@@ -244,6 +320,8 @@ def test_predict_router():
         predict(5, 2, 4)  # even k
     with pytest.raises(ValueError):
         predict(5, 2, 7)  # 7 does not divide 24
+    with pytest.raises(ValueError, match="positive"):
+        predict(2, -3, 7)  # 2^-3 = 1 mod 7, but q is no integer
 
 
 def test_index2_params_validation():
