@@ -65,23 +65,27 @@ def _minus_one_codes(ctx: FieldCtx, codes: np.ndarray) -> np.ndarray:
     return codes - c0 + (c0 - 1) % ctx.p
 
 
+def _support_mark(ctx: FieldCtx) -> np.ndarray:
+    """mark[c] is True iff element code c is in D (a boolean array of length q)."""
+    q = ctx.q
+    odd_exp = np.arange(1, q - 1, 2, dtype=np.int64)
+    mark = np.zeros(q, dtype=bool)
+    mark[_minus_one_codes(ctx, ctx.exp_table[odd_exp])] = True
+    mark[0] = False
+    return mark
+
+
 def support_set(ctx: FieldCtx) -> SupportSet:
     """D = { alpha^(2i+1) - 1 : 0 <= i <= q-2 }, minus zero, deduplicated."""
-    q = ctx.q
-    i = np.arange(q - 1, dtype=np.int64)
-    odd_exp = (2 * i + 1) % (q - 1)
-    codes = _minus_one_codes(ctx, ctx.exp_table[odd_exp])
-    codes = np.unique(codes[codes != 0])
-    exponents = np.sort(ctx.dlog_table[codes])
-    return SupportSet(ctx=ctx, exponents=exponents, element_codes=codes)
+    codes = np.flatnonzero(_support_mark(ctx))
+    exp_mark = np.zeros(ctx.q - 1, dtype=bool)
+    exp_mark[ctx.dlog_table[codes]] = True
+    return SupportSet(ctx=ctx, exponents=np.flatnonzero(exp_mark), element_codes=codes)
 
 
 def generate(ctx: FieldCtx) -> BitSeq:
     """The SLCE sequence for ctx: bits[t] = 1 iff alpha^t is in D."""
-    d = support_set(ctx)
-    member = np.zeros(ctx.q, dtype=bool)
-    member[d.element_codes] = True
-    bits = member[ctx.exp_table].astype(np.uint8)
+    bits = _support_mark(ctx)[ctx.exp_table].astype(np.uint8)
     bits.setflags(write=False)
     return BitSeq(bits=bits, v=ctx.q - 1)
 

@@ -95,6 +95,13 @@ def test_predict_invalid_k(capsys):
     assert capsys.readouterr().err == "error: k = 7 does not divide q - 1 = 24\n"
 
 
+def test_predict_invalid_k_with_huge_q(capsys):
+    # q - 1 = 3^100001 - 1 has 47,713 digits, past Python's int-to-str limit
+    rc, _ = run(["predict", "-p", "3", "-m", "100001", "-k", "7"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: k = 7 does not divide q - 1 = 3^100001 - 1\n"
+
+
 def test_predict_index2_large_class_number_is_fast():
     # h = 7: a linear scan for 4p^h = a^2 + ell b^2 never finishes here
     t0 = time.perf_counter()

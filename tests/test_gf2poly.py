@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slce.cli import _odd_prime_powers_upto
 from slce.fields import build_field
 from slce.gf2poly import (
+    _divmod_int,
+    _gcd_int,
+    _mod_int,
+    _mul_int,
+    _sqr_int,
     ONE,
     X,
     Gf2Poly,
@@ -80,6 +86,58 @@ def test_gcd_properties(a, b, c):
     assert g.divides(a) and g.divides(b)
     assert gcd(a, b) == gcd(b, a)
     assert gcd(gcd(a, b), c) == gcd(a, gcd(b, c))
+
+
+@st.composite
+def binomial_gcd_cases(draw):
+    """(v, s): v with 2-adic valuation 0..6, s zero, below degree v, or above it."""
+    e = draw(st.integers(min_value=0, max_value=6))
+    v = (draw(st.integers(min_value=0, max_value=120)) * 2 + 1) << e
+    kind = draw(st.sampled_from(["zero", "short", "long", "shared"]))
+    if kind == "zero":
+        return v, 0
+    deg = draw(st.integers(min_value=0, max_value=v - 1 if kind == "short" else 3 * v))
+    s = draw(st.integers(min_value=0, max_value=(1 << deg) - 1)) | (1 << deg)
+    if kind == "shared":  # force repeated factors of x^v + 1 into s
+        w = v >> e
+        f = _gcd_int((1 << w) | 1, draw(st.integers(min_value=1, max_value=(1 << w) - 1)))
+        for _ in range(draw(st.integers(min_value=1, max_value=(1 << e) + 2))):
+            s = _mul_int(s, f)
+    return v, s
+
+
+@given(case=binomial_gcd_cases())
+@settings(max_examples=300, deadline=None)
+def test_gcd_with_binomial_matches_euclid(case):
+    v, s = case
+    want = _gcd_int((1 << v) | 1, s)
+    assert gcd(x_pow_plus_one(v), Gf2Poly(s)).bits == want
+    assert gcd(Gf2Poly(s), x_pow_plus_one(v)).bits == want
+
+
+def test_gcd_with_binomial_matches_euclid_on_every_field_to_3000():
+    fields = _odd_prime_powers_upto(3000)
+    assert len(fields) == 455
+    for q, p, m in fields:
+        s2 = poly_from_seq(generate(build_field(p, m)))
+        assert gcd(x_pow_plus_one(q - 1), s2).bits == _gcd_int((1 << (q - 1)) | 1, s2.bits), q
+
+
+@given(
+    a=st.integers(min_value=0, max_value=(1 << 1200) - 1),
+    db=st.integers(min_value=0, max_value=400),
+    low=st.integers(min_value=0, max_value=(1 << 400) - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_windowed_remainder_matches_long_division(a, db, low):
+    b = (1 << db) | (low & ((1 << db) - 1))
+    assert _mod_int(a, b) == _divmod_int(a, b)[1]
+
+
+@given(a=st.integers(min_value=0, max_value=(1 << 2000) - 1))
+@settings(max_examples=100, deadline=None)
+def test_square_matches_product(a):
+    assert _sqr_int(a) == _mul_int(a, a)
 
 
 def test_factor_fixtures():

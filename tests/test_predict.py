@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import time
 
 import pytest
 
@@ -113,6 +115,49 @@ def test_class_number_against_dirichlet_oracle_up_to_500():
         assert class_number(ell) == dirichlet_class_number(ell), ell
         checked += 1
     assert checked >= 40
+
+
+def class_number_by_reduced_forms(ell):
+    """Oracle: count reduced primitive forms (A, B, C), B^2 - 4AC = -ell,
+    |B| <= A <= C, and B > 0 when |B| = A or A = C."""
+    count = 0
+    for a in range(1, math.isqrt(ell // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b + ell) % (4 * a) != 0:
+                continue
+            c = (b * b + ell) // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (abs(b) == a or a == c):
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) != 1:
+                continue
+            count += 1
+    return count
+
+
+def test_class_number_against_reduced_forms_below_5000():
+    ells = [ell for ell in range(7, 5000, 4) if is_prime(ell)]
+    assert len(ells) > 300
+    for ell in ells:
+        assert class_number(ell) == class_number_by_reduced_forms(ell), ell
+
+
+def test_class_number_python_int_path(monkeypatch):
+    # ell >= 2^32 counts in Python ints; force that path on small ell
+    predict_module = importlib.import_module("slce.predict")  # the package re-exports a function of that name
+    monkeypatch.setattr(predict_module, "_INT64_SQUARES_BELOW", 0)
+    for ell in (7, 11, 23, 71, 191, 4999):
+        assert class_number(ell) == class_number_by_reduced_forms(ell), ell
+
+
+def test_class_number_is_fast_at_a_million():
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        assert class_number(999983) == 1171
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.010
 
 
 def test_class_number_published_spot_values():

@@ -48,6 +48,9 @@ def test_support_set_against_both_oracles(p, m):
     assert codes == brute_support_codes(ctx)
     assert codes == nonsquare_support_codes(ctx)
     assert d.size == (ctx.q - 1) // 2
+    assert d.element_codes.dtype == d.exponents.dtype == np.int64
+    assert np.array_equal(d.element_codes, sorted(codes))
+    assert np.array_equal(d.exponents, sorted(int(ctx.dlog_table[c]) for c in codes))
 
 
 def test_support_set_q5():
