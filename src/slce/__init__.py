@@ -1,98 +1,4 @@
 """SLCE binary sequences: construction, linear complexity, Jacobi-sum
 divisibility tests, and closed-form divisibility predictors."""
 
-from .cyclotomic import (
-    CycInt,
-    IdealFactor,
-    check_eq3,
-    criterion,
-    cyc_conj,
-    cyc_mul,
-    ideal_factors,
-    jacobi_K,
-    jacobi_with_rho,
-    reduce_mod_ideal,
-)
-from .fields import FieldCtx, FieldElt, build_field, dlog, power, trace
-from .gaussnum import check_identities, gauss_sum
-from .gf2poly import (
-    Gf2Poly,
-    berlekamp_massey,
-    cyclotomic_cosets,
-    factor,
-    factored_str,
-    gcd,
-    linear_complexity,
-    minimal_polys_of_order,
-    poly_from_seq,
-)
-from .predict import (
-    Prediction,
-    class_number,
-    predict,
-    predict_index2,
-    predict_pure,
-    pure_case_params,
-    represent,
-    subgroup_index,
-)
-from .sequences import (
-    BitSeq,
-    SupportSet,
-    autocorrelation,
-    autocorrelation_profile,
-    generate,
-    lce_shift_check,
-    set_Y,
-    set_Z,
-    support_set,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BitSeq",
-    "CycInt",
-    "FieldCtx",
-    "FieldElt",
-    "Gf2Poly",
-    "IdealFactor",
-    "Prediction",
-    "SupportSet",
-    "autocorrelation",
-    "autocorrelation_profile",
-    "berlekamp_massey",
-    "build_field",
-    "check_eq3",
-    "check_identities",
-    "class_number",
-    "criterion",
-    "cyc_conj",
-    "cyc_mul",
-    "cyclotomic_cosets",
-    "dlog",
-    "factor",
-    "factored_str",
-    "gauss_sum",
-    "gcd",
-    "generate",
-    "ideal_factors",
-    "jacobi_K",
-    "jacobi_with_rho",
-    "lce_shift_check",
-    "linear_complexity",
-    "minimal_polys_of_order",
-    "poly_from_seq",
-    "power",
-    "predict",
-    "predict_index2",
-    "predict_pure",
-    "pure_case_params",
-    "reduce_mod_ideal",
-    "represent",
-    "set_Y",
-    "set_Z",
-    "subgroup_index",
-    "support_set",
-    "trace",
-]

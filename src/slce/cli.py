@@ -92,9 +92,10 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
         if direct:
             ideals = cyclotomic.ideal_factors(k)
             row["f"] = ideals[0].f
+            s2_k = gf2poly.fold(s2, k)  # each g divides x^k + 1
             factors = []
             for ideal, crit in zip(ideals, cyclotomic.criterion(ctx, k)):
-                div = ideal.g.divides(s2)
+                div = ideal.g.divides(s2_k)
                 factors.append(
                     {"g": str(ideal.g), "criterion": crit, "direct": div, "match": crit == div}
                 )

@@ -239,36 +239,6 @@ class IdealFactor:
     g: Gf2Poly
     f: int
 
-    def coset(self) -> tuple[int, ...]:
-        """Exponent coset attached to this factor (metadata; computed on demand).
-
-        Exponents j such that, fixing beta = x mod g0 for the first factor
-        g0, the minimal polynomial of beta^j is this factor's g.
-        """
-        from .gf2poly import _mod_int, _mul_int, _powmod_int
-
-        factors = ideal_factors(self.k)
-        g0 = factors[0].g.bits
-        for orbit in _coprime_cosets(self.k):
-            beta_j = _powmod_int(2, orbit[0] % self.k, g0)
-            # evaluate g at beta^j inside GF(2)[x]/(g0) by Horner
-            acc = 0
-            for bit_i in range(self.g.degree, -1, -1):
-                acc = _mod_int(_mul_int(acc, beta_j), g0)
-                if (self.g.bits >> bit_i) & 1:
-                    acc ^= 1
-            if acc == 0:
-                return tuple(orbit)
-        raise RuntimeError("no exponent coset matched this ideal factor")
-
-
-def _coprime_cosets(k: int) -> list[list[int]]:
-    from math import gcd as intgcd
-
-    from .gf2poly import cyclotomic_cosets
-
-    return [orbit for orbit in cyclotomic_cosets(k) if intgcd(orbit[0], k) == 1]
-
 
 @lru_cache(maxsize=None)
 def ideal_factors(k: int) -> tuple[IdealFactor, ...]:

@@ -20,7 +20,7 @@ import numpy as np
 
 DEFAULT_MAX_Q = 2_000_000
 
-_BLOCK = 4096
+_BLOCK = 4096  # columns per giant step; a power of two (see _build_tables)
 
 
 def is_prime(n: int) -> bool:
@@ -288,25 +288,20 @@ class FieldCtx:
         n = q - 1
         A = self._mul_by_alpha_matrix()
         block = min(_BLOCK, n)
-        # Giant-step block iteration: columns t..t+block-1 hold alpha^t.
-        AB = np.eye(m, dtype=np.int64)
-        t = A
-        e = block
-        while e:
-            if e & 1:
-                AB = (AB @ t) % p
-            t = (t @ t) % p
-            e >>= 1
+        # Columns 0..block-1 hold alpha^t, built by doubling: X = [X | A^w X]
+        # with w the current width.  When n > block, block = _BLOCK is a power
+        # of two, so the last A^w is A^block, the giant step between blocks.
+        X = np.zeros((m, 1), dtype=np.int64)
+        X[0, 0] = 1
+        step = A
+        while X.shape[1] < block:
+            X = np.hstack([X, (step @ X[:, : block - X.shape[1]]) % p])
+            step = (step @ step) % p
 
         pow_p = p ** np.arange(m, dtype=np.int64)
         exp = np.empty(n, dtype=np.int64)
         one_minus_code = np.empty(n, dtype=np.int64)
         tr = np.empty(n, dtype=np.int64)
-
-        X = np.zeros((m, block), dtype=np.int64)
-        X[0, 0] = 1
-        for j in range(1, min(block, n)):
-            X[:, j] = (A @ X[:, j - 1]) % p
 
         start = 0
         while start < n:
@@ -319,7 +314,7 @@ class FieldCtx:
             tr[start : start + width] = (self._trace_basis @ Xb) % p
             start += width
             if start < n:
-                X = (AB @ X) % p
+                X = (step @ X) % p
 
         dlog = np.full(q, -1, dtype=np.int64)
         dlog[exp] = np.arange(n, dtype=np.int64)
@@ -373,26 +368,6 @@ class FieldCtx:
     def trace(self, x: FieldElt) -> int:
         return int(np.dot(self._trace_basis, np.array(x.coeffs, dtype=np.int64)) % self.p)
 
-    def add(self, x: FieldElt, y: FieldElt) -> FieldElt:
-        return FieldElt(tuple((a + b) % self.p for a, b in zip(x.coeffs, y.coeffs)))
-
-    def sub(self, x: FieldElt, y: FieldElt) -> FieldElt:
-        return FieldElt(tuple((a - b) % self.p for a, b in zip(x.coeffs, y.coeffs)))
-
-    def neg(self, x: FieldElt) -> FieldElt:
-        return FieldElt(tuple((-a) % self.p for a in x.coeffs))
-
-    def mul(self, x: FieldElt, y: FieldElt) -> FieldElt:
-        if x.is_zero() or y.is_zero():
-            return self.zero()
-        t = (self.dlog(x) + self.dlog(y)) % (self.q - 1)
-        return self.power(t)
-
-    def inv(self, x: FieldElt) -> FieldElt:
-        if x.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self.power(-self.dlog(x))
-
     def describe(self) -> dict:
         """Echo of the deterministic choices, embedded in every report."""
         return {
@@ -410,15 +385,3 @@ class FieldCtx:
 def build_field(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:
     """Construct GF(p^m) with the canonical modulus and primitive element."""
     return FieldCtx(p, m, max_q=max_q)
-
-
-def power(ctx: FieldCtx, t: int) -> FieldElt:
-    return ctx.power(t)
-
-
-def dlog(ctx: FieldCtx, x: FieldElt) -> int:
-    return ctx.dlog(x)
-
-
-def trace(ctx: FieldCtx, x: FieldElt) -> int:
-    return ctx.trace(x)

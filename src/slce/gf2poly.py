@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import warnings
 
-from .fields import multiplicative_order, prime_factors
-
 # byte -> bits interleaved with zeros (for squaring), and its inverse
 _SPREAD = [sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)]
 _SPREAD_LO = bytes(w & 0xFF for w in _SPREAD)
@@ -113,16 +111,20 @@ def _gcd_int(a: int, b: int) -> int:
     return a
 
 
-def _fold(a: int, w: int) -> int:
-    """a mod (x^w + 1): the xor of a's w-bit slices, halving a per round."""
-    n = a.bit_length()
+def fold(a: Gf2Poly, w: int) -> Gf2Poly:
+    """a mod (x^w + 1): the xor of a's w-bit slices, halving a per round.
+
+    For any g | x^w + 1, g divides a exactly when it divides fold(a, w).
+    """
+    bits = a.bits
+    n = bits.bit_length()
     while n > w:
         half = w
         while 2 * half < n:
             half *= 2
-        a = (a & ((1 << half) - 1)) ^ (a >> half)  # x^half = 1 mod x^w + 1
-        n = a.bit_length()
-    return a
+        bits = (bits & ((1 << half) - 1)) ^ (bits >> half)  # x^half = 1 mod x^w + 1
+        n = bits.bit_length()
+    return Gf2Poly(bits)
 
 
 def _gcd_binomial(v: int, s: int) -> int:
@@ -135,23 +137,12 @@ def _gcd_binomial(v: int, s: int) -> int:
     """
     e = (v & -v).bit_length() - 1
     w = v >> e
-    g1 = _gcd_int((1 << w) | 1, _fold(s, w))
+    g1 = _gcd_int((1 << w) | 1, fold(Gf2Poly(s), w).bits)
     if e == 0 or g1 == 1:
         return g1
     for _ in range(e):
         g1 = _sqr_int(g1)
     return _gcd_int(g1, _mod_int(s, g1))
-
-
-def _powmod_int(base: int, e: int, mod: int) -> int:
-    result = 1 if mod.bit_length() > 1 else 0
-    base = _mod_int(base, mod)
-    while e:
-        if e & 1:
-            result = _mod_int(_mul_int(result, base), mod)
-        base = _mod_int(_sqr_int(base), mod)
-        e >>= 1
-    return result
 
 
 class Gf2Poly:
@@ -213,9 +204,6 @@ class Gf2Poly:
 
     def square(self) -> "Gf2Poly":
         return Gf2Poly(_sqr_int(self.bits))
-
-    def pow_mod(self, e: int, mod: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(_powmod_int(self.bits, e, mod.bits))
 
     def divides(self, other: "Gf2Poly") -> bool:
         return _mod_int(other.bits, self.bits) == 0
@@ -288,8 +276,8 @@ def poly_from_seq(seq) -> Gf2Poly:
 
 
 # ---------------------------------------------------------------------------
-# Factorization: squarefree split, then distinct-degree, then a deterministic
-# equal-degree split via trace maps with enumerated arguments (no randomness).
+# Factorization: squarefree split by derivatives and square roots, then
+# Berlekamp's deterministic Q-matrix method on each squarefree part.
 # ---------------------------------------------------------------------------
 
 
@@ -405,104 +393,6 @@ def recombine(factors: list[tuple[Gf2Poly, int]]) -> Gf2Poly:
         for _ in range(e):
             out = out * g
     return out
-
-
-# ---------------------------------------------------------------------------
-# Cyclotomic cosets and minimal polynomials of roots of unity over GF(2).
-# ---------------------------------------------------------------------------
-
-
-def cyclotomic_cosets(k: int) -> list[list[int]]:
-    """Orbits of Z/kZ under multiplication by 2, each in cycle order."""
-    if k % 2 == 0:
-        raise ValueError("k must be odd")
-    seen = [False] * k
-    orbits = []
-    for j in range(k):
-        if seen[j]:
-            continue
-        orbit = []
-        c = j
-        while not seen[c]:
-            seen[c] = True
-            orbit.append(c)
-            c = (2 * c) % k
-        orbits.append(orbit)
-    return orbits
-
-
-def smallest_irreducible(degree: int) -> Gf2Poly:
-    """The degree-d irreducible over GF(2) with the smallest bit pattern."""
-    if degree == 1:
-        return X
-    for cand in range((1 << degree) + 1, 1 << (degree + 1), 2):
-        if Gf2Poly(cand).is_irreducible():
-            return Gf2Poly(cand)
-    raise RuntimeError(f"no irreducible of degree {degree}")  # unreachable
-
-
-def _gf2e_pow(a: int, e: int, modulus: int) -> int:
-    return _powmod_int(a, e, modulus)
-
-
-def _element_of_order(k: int, modulus: int, f: int) -> int:
-    n = (1 << f) - 1
-    if n % k != 0:
-        raise ValueError(f"no element of order {k} in GF(2^{f})")
-    cofactor = n // k
-    kprimes = prime_factors(k)
-    g = 2
-    while True:
-        gamma = _gf2e_pow(g, cofactor, modulus)
-        if gamma != 1 and all(_gf2e_pow(gamma, k // r, modulus) != 1 for r in kprimes):
-            return gamma
-        g += 1
-
-
-def _orbit_min_poly(beta: int, orbit: list[int], modulus: int) -> Gf2Poly:
-    # product of (x - beta^c) over the orbit; coefficients must land in GF(2)
-    poly = [1]
-    for c in orbit:
-        root = _gf2e_pow(beta, c, modulus)
-        nxt = [0] * (len(poly) + 1)
-        for i, coef in enumerate(poly):
-            nxt[i + 1] ^= coef
-            nxt[i] ^= _mod_int(_mul_int(coef, root), modulus)
-        poly = nxt
-    bits = 0
-    for i, coef in enumerate(poly):
-        if coef == 1:
-            bits |= 1 << i
-        elif coef != 0:
-            raise RuntimeError("orbit product has a coefficient outside GF(2)")
-    return Gf2Poly(bits)
-
-
-def coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], Gf2Poly]]:
-    """(coset, minimal polynomial) for every nonzero 2-cyclotomic coset mod k.
-
-    Built inside an explicit GF(2^f), f = ord_k(2), independently of any
-    cyclotomic-polynomial factorization.
-    """
-    if k % 2 == 0:
-        raise ValueError("k must be odd")
-    f = multiplicative_order(2, k)
-    modulus = smallest_irreducible(f).bits
-    beta = _element_of_order(k, modulus, f)
-    out = []
-    for orbit in cyclotomic_cosets(k):
-        if orbit == [0]:
-            continue
-        out.append((tuple(orbit), _orbit_min_poly(beta, orbit, modulus)))
-    return out
-
-
-def minimal_polys_of_order(k: int) -> list[Gf2Poly]:
-    """Distinct minimal polynomials of the elements of order exactly k."""
-    from math import gcd as intgcd
-
-    polys = [g for orbit, g in coset_minimal_polys(k) if intgcd(orbit[0], k) == 1]
-    return sorted(set(polys), key=lambda g: g.bits)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ computations at q = 37^3, 53^3, 109^3, 137^3, 11^3, 23^3, 11^6 and 3^11
 and by direct gcd computations at those sizes; it also reproduces the
 known h = 3 reference evaluation at ell = 23.
 
-Class numbers are counted over reduced forms, O(ell) steps; the
-representation 4p^h = a^2 + ell b^2 comes from Cornacchia's algorithm in
-O(log p^h) steps.
+Class numbers come from Dirichlet's sum of Legendre symbols, ell/2
+numpy-vectorised steps (the tests check it against a count of reduced
+forms); the representation 4p^h = a^2 + ell b^2 comes from Cornacchia's
+algorithm in O(log p^h) steps.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ class Prediction:
     divides: bool | None
     params: dict
     condition_trace: str
-
-    @property
-    def is_definite(self) -> bool:
-        return self.divides is not None
 
     def to_json(self) -> dict:
         return {

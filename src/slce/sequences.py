@@ -33,12 +33,6 @@ class SupportSet:
     def size(self) -> int:
         return int(self.exponents.size)
 
-    def exponent_set(self) -> frozenset[int]:
-        return frozenset(int(t) for t in self.exponents)
-
-    def elements(self) -> frozenset[FieldElt]:
-        return frozenset(self.ctx.decode(int(c)) for c in self.element_codes)
-
 
 @dataclass(frozen=True)
 class BitSeq:

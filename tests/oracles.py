@@ -1,0 +1,147 @@
+"""Reference implementations that the tests compare the package against.
+
+The coset construction builds the factors of Phi_k mod 2 as minimal
+polynomials of the powers of an element of order k inside an explicit
+GF(2^f), f = ord_k(2), without factoring anything.  It is the oracle of
+`slce.cyclotomic.ideal_factors`, which splits Phi_k mod 2 by Berlekamp.
+
+The element operations act on one field element at a time through the
+exponent and log tables of a context; the tests use them to check the
+tables and the vectorised constructions built on them.
+"""
+
+from math import gcd as intgcd
+
+from slce.fields import FieldCtx, FieldElt, multiplicative_order, prime_factors
+from slce.gf2poly import X, Gf2Poly, _mod_int, _mul_int, _sqr_int
+
+# ---------------------------------------------------------------------------
+# Cyclotomic cosets and minimal polynomials of roots of unity over GF(2).
+# ---------------------------------------------------------------------------
+
+
+def _powmod_int(base: int, e: int, mod: int) -> int:
+    result = 1 if mod.bit_length() > 1 else 0
+    base = _mod_int(base, mod)
+    while e:
+        if e & 1:
+            result = _mod_int(_mul_int(result, base), mod)
+        base = _mod_int(_sqr_int(base), mod)
+        e >>= 1
+    return result
+
+
+def cyclotomic_cosets(k: int) -> list[list[int]]:
+    """Orbits of Z/kZ under multiplication by 2, each in cycle order."""
+    if k % 2 == 0:
+        raise ValueError("k must be odd")
+    seen = [False] * k
+    orbits = []
+    for j in range(k):
+        if seen[j]:
+            continue
+        orbit = []
+        c = j
+        while not seen[c]:
+            seen[c] = True
+            orbit.append(c)
+            c = (2 * c) % k
+        orbits.append(orbit)
+    return orbits
+
+
+def smallest_irreducible(degree: int) -> Gf2Poly:
+    """The degree-d irreducible over GF(2) with the smallest bit pattern."""
+    if degree == 1:
+        return X
+    for cand in range((1 << degree) + 1, 1 << (degree + 1), 2):
+        if Gf2Poly(cand).is_irreducible():
+            return Gf2Poly(cand)
+    raise RuntimeError(f"no irreducible of degree {degree}")  # unreachable
+
+
+def _element_of_order(k: int, modulus: int, f: int) -> int:
+    n = (1 << f) - 1
+    if n % k != 0:
+        raise ValueError(f"no element of order {k} in GF(2^{f})")
+    cofactor = n // k
+    kprimes = prime_factors(k)
+    g = 2
+    while True:
+        gamma = _powmod_int(g, cofactor, modulus)
+        if gamma != 1 and all(_powmod_int(gamma, k // r, modulus) != 1 for r in kprimes):
+            return gamma
+        g += 1
+
+
+def _orbit_min_poly(beta: int, orbit: list[int], modulus: int) -> Gf2Poly:
+    # product of (x - beta^c) over the orbit; coefficients must land in GF(2)
+    poly = [1]
+    for c in orbit:
+        root = _powmod_int(beta, c, modulus)
+        nxt = [0] * (len(poly) + 1)
+        for i, coef in enumerate(poly):
+            nxt[i + 1] ^= coef
+            nxt[i] ^= _mod_int(_mul_int(coef, root), modulus)
+        poly = nxt
+    bits = 0
+    for i, coef in enumerate(poly):
+        if coef == 1:
+            bits |= 1 << i
+        elif coef != 0:
+            raise RuntimeError("orbit product has a coefficient outside GF(2)")
+    return Gf2Poly(bits)
+
+
+def coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], Gf2Poly]]:
+    """(coset, minimal polynomial) for every nonzero 2-cyclotomic coset mod k.
+
+    Built inside an explicit GF(2^f), f = ord_k(2), independently of any
+    cyclotomic-polynomial factorization.
+    """
+    if k % 2 == 0:
+        raise ValueError("k must be odd")
+    f = multiplicative_order(2, k)
+    modulus = smallest_irreducible(f).bits
+    beta = _element_of_order(k, modulus, f)
+    out = []
+    for orbit in cyclotomic_cosets(k):
+        if orbit == [0]:
+            continue
+        out.append((tuple(orbit), _orbit_min_poly(beta, orbit, modulus)))
+    return out
+
+
+def coprime_coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], Gf2Poly]]:
+    """The pairs of `coset_minimal_polys` for the elements of order exactly k."""
+    return [(orbit, g) for orbit, g in coset_minimal_polys(k) if intgcd(orbit[0], k) == 1]
+
+
+def minimal_polys_of_order(k: int) -> list[Gf2Poly]:
+    """Distinct minimal polynomials of the elements of order exactly k."""
+    return sorted({g for _, g in coprime_coset_minimal_polys(k)}, key=lambda g: g.bits)
+
+
+# ---------------------------------------------------------------------------
+# Field element operations, one element at a time.
+# ---------------------------------------------------------------------------
+
+
+def add(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:
+    return FieldElt(tuple((a + b) % ctx.p for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def sub(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:
+    return FieldElt(tuple((a - b) % ctx.p for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def mul(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:
+    if x.is_zero() or y.is_zero():
+        return ctx.zero()
+    return ctx.power(ctx.dlog(x) + ctx.dlog(y))
+
+
+def inv(ctx: FieldCtx, x: FieldElt) -> FieldElt:
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero")
+    return ctx.power(-ctx.dlog(x))

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from conftest import field_bundle
+from oracles import minimal_polys_of_order
 from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import (
     check_eq3,
@@ -36,7 +37,6 @@ from slce.gf2poly import (
     factored_str,
     gcd,
     linear_complexity,
-    minimal_polys_of_order,
     poly_from_seq,
     x_pow_plus_one,
 )

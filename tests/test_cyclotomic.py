@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from functools import lru_cache
@@ -6,6 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from oracles import coprime_coset_minimal_polys, sub
 from slce import cyclotomic
 from slce.cyclotomic import (
     CycInt,
@@ -157,7 +159,7 @@ def test_jacobi_K_brute_force_q13():
     counts = [0, 0, 0]
     one = ctx.one()
     for i in range(1, 12):
-        val = ctx.sub(one, ctx.power(i))
+        val = sub(ctx, one, ctx.power(i))
         counts[(i + ctx.dlog(val)) % 3] += 1
     dlog4 = ctx.dlog(ctx.from_int(4))
     shifted = [0, 0, 0]
@@ -208,15 +210,22 @@ def test_ideal_factors_fixtures():
         ideal_factors(6)
 
 
-def test_ideal_factor_cosets():
-    f7 = ideal_factors(7)
-    cosets = {i.coset() for i in f7}
-    assert cosets == {(1, 2, 4), (3, 6, 5)}
-    assert ideal_factors(5)[0].coset() == (1, 2, 4, 3)
+def test_ideal_factors_match_coset_oracle():
+    # Berlekamp on Phi_k mod 2 against minimal polynomials built in GF(2^f);
+    # 255, 511 and 1023 = 2^f - 1 split into 16, 48 and 60 factors of degree f
+    for k in [*range(3, 150, 2), 255, 511, 1023]:
+        pairs = coprime_coset_minimal_polys(k)
+        ideals = ideal_factors(k)
+        assert [i.g for i in ideals] == sorted((g for _, g in pairs), key=lambda g: g.bits), k
+        coset_of = {g: orbit for orbit, g in pairs}
+        assert all(i.f == len(coset_of[i.g]) == i.g.degree for i in ideals), k
+        units = [j for j in range(1, k) if math.gcd(j, k) == 1]
+        assert sorted(j for orbit, _ in pairs for j in orbit) == units, k
+    assert {orbit for orbit, _ in coprime_coset_minimal_polys(7)} == {(1, 2, 4), (3, 6, 5)}
+    assert [orbit for orbit, _ in coprime_coset_minimal_polys(5)] == [(1, 2, 4, 3)]
     # 23: two ideals, cosets are the quadratic residues and non-residues
-    f23 = ideal_factors(23)
-    assert sorted(len(i.coset()) for i in f23) == [11, 11]
-    assert {c for i in f23 for c in i.coset()} == set(range(1, 23))
+    cosets23 = [set(orbit) for orbit, _ in coprime_coset_minimal_polys(23)]
+    assert len(cosets23) == 2 and {j * j % 23 for j in range(1, 23)} in cosets23
 
 
 def test_reduce_mod_ideal_fixtures():

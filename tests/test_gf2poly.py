@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coset_minimal_polys, cyclotomic_cosets, minimal_polys_of_order, smallest_irreducible
 from slce.cli import _odd_prime_powers_upto
+from slce.cyclotomic import ideal_factors
 from slce.fields import build_field
 from slce.gf2poly import (
     _divmod_int,
@@ -18,18 +20,15 @@ from slce.gf2poly import (
     Gf2Poly,
     all_ones_poly,
     berlekamp_massey,
-    coset_minimal_polys,
-    cyclotomic_cosets,
     factor,
     factor_squarefree,
     factored_str,
+    fold,
     gcd,
     lfsr_regenerate,
     linear_complexity,
-    minimal_polys_of_order,
     poly_from_seq,
     recombine,
-    smallest_irreducible,
     x_pow_plus_one,
 )
 from slce.sequences import generate
@@ -121,6 +120,21 @@ def test_gcd_with_binomial_matches_euclid_on_every_field_to_3000():
     for q, p, m in fields:
         s2 = poly_from_seq(generate(build_field(p, m)))
         assert gcd(x_pow_plus_one(q - 1), s2).bits == _gcd_int((1 << (q - 1)) | 1, s2.bits), q
+
+
+@given(k=st.sampled_from([3, 5, 7, 9, 15, 21, 23, 31, 45, 63]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_divisibility_survives_the_fold(k, data):
+    # each g of ideal_factors(k) divides x^k + 1, so g | s iff g | (s mod x^k + 1)
+    ideals = ideal_factors(k)
+    deg = data.draw(st.integers(min_value=0, max_value=20 * k))
+    s = Gf2Poly(data.draw(st.integers(min_value=0, max_value=(1 << deg) - 1)) | (1 << deg))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):  # so that g | s occurs
+        s = s * data.draw(st.sampled_from(ideals)).g
+    folded = fold(s, k)
+    assert folded == s % x_pow_plus_one(k)
+    for ideal in ideals:
+        assert ideal.g.divides(s) == ideal.g.divides(folded)
 
 
 @given(

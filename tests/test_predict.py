@@ -7,7 +7,8 @@ import pytest
 
 from slce.cyclotomic import jacobi_K
 from slce.fields import build_field, is_prime
-from slce.gf2poly import all_ones_poly, minimal_polys_of_order, poly_from_seq
+from oracles import minimal_polys_of_order
+from slce.gf2poly import all_ones_poly, poly_from_seq
 from slce.predict import (
     Index2Params,
     NoClosedForm,
@@ -145,7 +146,7 @@ def test_class_number_against_reduced_forms_below_5000():
 
 def test_class_number_python_int_path(monkeypatch):
     # ell >= 2^32 counts in Python ints; force that path on small ell
-    predict_module = importlib.import_module("slce.predict")  # the package re-exports a function of that name
+    predict_module = importlib.import_module("slce.predict")
     monkeypatch.setattr(predict_module, "_INT64_SQUARES_BELOW", 0)
     for ell in (7, 11, 23, 71, 191, 4999):
         assert class_number(ell) == class_number_by_reduced_forms(ell), ell
