@@ -25,15 +25,10 @@ import time
 
 from . import cyclotomic, gf2poly, sequences
 from .predict import NoClosedForm, predict as run_predict
-from .fields import build_field, is_prime, prime_factors
+from .fields import build_field, divisors, is_prime
 
 DIRECT_VERIFY_BOUND = 20_000
 FIELD_SIZE_BOUND = 2_000_000
-
-
-def _odd_divisors_ge3(n: int) -> list[int]:
-    out = [d for d in range(3, n + 1, 2) if n % d == 0]
-    return out
 
 
 def _odd_prime_powers_upto(q_max: int) -> list[tuple[int, int, int]]:
@@ -75,12 +70,12 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
         seq = sequences.generate(ctx)
         s2 = gf2poly.poly_from_seq(seq)
         g = gf2poly.gcd(gf2poly.x_pow_plus_one(seq.v), s2)
-        block["gcd_factored"] = gf2poly.factored_str(gf2poly.factor(g)) if g.degree >= 1 else "1"
+        block["gcd_factored"] = gf2poly.factored_str(gf2poly.factor(g, seq.v)) if g.degree >= 1 else "1"
         block["linear_complexity"] = seq.v - g.degree
         timings["sequence_and_gcd_s"] = time.perf_counter() - t0
 
     if ks is None:
-        ks = _odd_divisors_ge3(q - 1)
+        ks = [d for d in divisors(q - 1) if d % 2 and d >= 3]
     mismatches = 0
     indeterminate = 0
     t0 = time.perf_counter()

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FieldCtx, euler_phi, multiplicative_order, prime_factors
+from .fields import FieldCtx, euler_phi, prime_factors
 from .gf2poly import Gf2Poly, factor_squarefree
 
 
@@ -244,16 +244,8 @@ class IdealFactor:
 def ideal_factors(k: int) -> tuple[IdealFactor, ...]:
     """The prime ideals above 2, one per irreducible factor of Phi_k mod 2."""
     _require_odd_k(k)
-    f = multiplicative_order(2, k)
-    phi_mod2 = Gf2Poly.from_coeffs(cyclotomic_poly(k))
-    n_factors = phi_mod2.degree // f
-    if n_factors == 1:
-        gs = [phi_mod2]
-    else:
-        gs = factor_squarefree(phi_mod2)
-    if len(gs) != n_factors or any(g.degree != f for g in gs):
-        raise RuntimeError(f"unexpected factor profile of the cyclotomic polynomial mod 2 for k = {k}")
-    return tuple(IdealFactor(k=k, g=g, f=f) for g in gs)
+    gs = factor_squarefree(Gf2Poly.from_coeffs(cyclotomic_poly(k)), k)
+    return tuple(IdealFactor(k=k, g=g, f=g.degree) for g in gs)
 
 
 def _parity(a: CycInt) -> Gf2Poly:

@@ -54,6 +54,17 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """Sorted list of the divisors of n >= 1."""
+    out = [1]
+    for r in prime_factors(n):
+        powers = [1]
+        while n % (powers[-1] * r) == 0:
+            powers.append(powers[-1] * r)
+        out = [d * s for d in out for s in powers]
+    return sorted(out)
+
+
 def euler_phi(n: int) -> int:
     out = n
     for r in prime_factors(n):

@@ -6,6 +6,11 @@ from long division that feeds a long dividend into a short running
 remainder a window at a time, so a remainder costs about
 deg(dividend) * deg(divisor) / 64 word operations.
 
+Every polynomial the package factors (Phi_k mod 2, and the gcd of x^v + 1
+with a sequence polynomial) divides some x^v + 1, so its factors are split
+apart by sums of x^j over 2-cyclotomic cosets, not by a general method
+(see `factor_squarefree`).
+
 `gcd` with x^v + 1, the linear-complexity gcd, runs Euclid on the odd part
 w of v = 2^e * w only (see `_gcd_binomial`).  Euclid is quadratic in w: on
 a 2-core machine with Python 3.11 that gcd took 0.07 s at v = 390,624
@@ -21,11 +26,14 @@ from __future__ import annotations
 
 import warnings
 
-# byte -> bits interleaved with zeros (for squaring), and its inverse
+import numpy as np
+
+from .fields import divisors, multiplicative_order
+
+# byte -> bits interleaved with zeros (for squaring)
 _SPREAD = [sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)]
 _SPREAD_LO = bytes(w & 0xFF for w in _SPREAD)
 _SPREAD_HI = bytes(w >> 8 for w in _SPREAD)
-_COMPRESS = [sum(((b >> (2 * i)) & 1) << i for i in range(4)) for b in range(256)]
 
 
 def _mul_int(a: int, b: int) -> int:
@@ -46,19 +54,6 @@ def _sqr_int(a: int) -> int:
     out[0::2] = buf.translate(_SPREAD_LO)
     out[1::2] = buf.translate(_SPREAD_HI)
     return int.from_bytes(out, "little")
-
-
-def _sqrt_int(a: int) -> int:
-    r = 0
-    shift = 0
-    while a:
-        chunk = a & 0xFFFF
-        if chunk & 0xAAAA:
-            raise ValueError("not a square over GF(2)")
-        r |= (_COMPRESS[chunk & 0xFF] | (_COMPRESS[chunk >> 8] << 4)) << shift
-        a >>= 16
-        shift += 8
-    return r
 
 
 def _divmod_int(a: int, b: int) -> tuple[int, int]:
@@ -157,11 +152,8 @@ class Gf2Poly:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "Gf2Poly":
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if int(c) & 1:
-                bits |= 1 << i
-        return cls(bits)
+        packed = np.packbits(np.asarray(coeffs, dtype=np.int64) & 1, bitorder="little")
+        return cls(int.from_bytes(packed.tobytes(), "little"))
 
     @property
     def degree(self) -> int:
@@ -196,22 +188,11 @@ class Gf2Poly:
         q, r = _divmod_int(self.bits, other.bits)
         return Gf2Poly(q), Gf2Poly(r)
 
-    def __floordiv__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(_divmod_int(self.bits, other.bits)[0])
-
     def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
         return Gf2Poly(_mod_int(self.bits, other.bits))
 
-    def square(self) -> "Gf2Poly":
-        return Gf2Poly(_sqr_int(self.bits))
-
     def divides(self, other: "Gf2Poly") -> bool:
         return _mod_int(other.bits, self.bits) == 0
-
-    def derivative(self) -> "Gf2Poly":
-        n = (self.bits.bit_length() + 1) & ~1  # even length so the mask below is exact
-        mask = ((1 << n) - 1) // 3  # bits at even positions: 0b...010101
-        return Gf2Poly((self.bits >> 1) & mask)
 
     def is_irreducible(self) -> bool:
         """Ben-Or test: no factor of degree <= degree/2."""
@@ -276,105 +257,91 @@ def poly_from_seq(seq) -> Gf2Poly:
 
 
 # ---------------------------------------------------------------------------
-# Factorization: squarefree split by derivatives and square roots, then
-# Berlekamp's deterministic Q-matrix method on each squarefree part.
+# Factorization of divisors of x^n + 1, n odd: split by the idempotents of
+# binary cyclic codes, the sums of x^j over the 2-cyclotomic cosets of Z/n.
 # ---------------------------------------------------------------------------
 
 
-def _squarefree_parts(f: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    df = Gf2Poly(f).derivative().bits
-    if df == 0:
-        for g, e in _squarefree_parts(_sqrt_int(f)).items():
-            out[g] = out.get(g, 0) + 2 * e
-        return out
-    c = _gcd_int(f, df)
-    w = _divmod_int(f, c)[0]
-    i = 1
-    while w != 1:
-        y = _gcd_int(w, c)
-        z = _divmod_int(w, y)[0]
-        if z != 1:
-            out[z] = out.get(z, 0) + i
-        w = y
-        c = _divmod_int(c, y)[0]
-        i += 1
-    if c != 1:
-        for g, e in _squarefree_parts(_sqrt_int(c)).items():
-            out[g] = out.get(g, 0) + 2 * e
-    return out
+def _x_pow_mod(e: int, r: int) -> int:
+    """x^e mod r by square-and-multiply; multiplying by x is a shift."""
+    dr = r.bit_length() - 1
+    t = 1
+    for bit in bin(e)[2:]:
+        t = _mod_int(_sqr_int(t), r)
+        if bit == "1":
+            t <<= 1
+            if t >> dr:
+                t ^= r
+    return t
 
 
-def _left_nullspace_gf2(rows: list[int]) -> list[int]:
-    """Combos v (bit i = row i) with xor of the selected rows = 0."""
-    pivots: dict[int, tuple[int, int]] = {}
-    null = []
-    for i, row in enumerate(rows):
-        combo = 1 << i
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (row, combo)
-                break
-            prow, pcombo = pivots[top]
-            row ^= prow
-            combo ^= pcombo
-        if row == 0:
-            null.append(combo)
-    return null
+def factor_squarefree(f: Gf2Poly, n: int) -> list[Gf2Poly]:
+    """Irreducible factors of a squarefree f whose roots all have order n, sorted by bit pattern.
 
-
-def _berlekamp_factors(f: int) -> list[int]:
-    """Irreducible factors of a squarefree f (deterministic Q-matrix method)."""
-    n = f.bit_length() - 1
-    if n <= 1:
-        return [f]
-    x2 = _mod_int(4, f)  # x^2
-    rows = []
-    r = 1
-    for i in range(n):
-        rows.append(r ^ (1 << i))  # row i of Q - I, where Q row i = x^(2i) mod f
-        r = _mod_int(_mul_int(r, x2), f)
-    basis = _left_nullspace_gf2(rows)
-    pieces = [f]
-    for v in basis:
-        if v == 1:  # constant splitting polynomial carries no information
-            continue
-        refined = []
-        for piece in pieces:
-            vm = _mod_int(v, piece) if piece.bit_length() - 1 > 1 else 0
-            g = _gcd_int(vm, piece) if vm else piece
-            if 0 < g.bit_length() - 1 < piece.bit_length() - 1:
-                refined.append(g)
-                refined.append(_divmod_int(piece, g)[0])
-            else:
-                refined.append(piece)
-        pieces = refined
-    if len(pieces) != len(basis):
-        raise RuntimeError("splitting basis did not separate all factors")
-    return pieces
-
-
-def factor_squarefree(f: Gf2Poly) -> list[Gf2Poly]:
-    """Irreducible factors of a squarefree polynomial, sorted by bit pattern."""
-    return sorted((Gf2Poly(g) for g in _berlekamp_factors(f.bits)), key=lambda g: g.bits)
-
-
-def factor(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
-    """Complete factorization into (irreducible, multiplicity) pairs.
-
-    Pairs are sorted by (degree, bit pattern); the product recombines to f.
+    There are deg f / d of them, each of degree d = ord_n(2).  For each
+    2-cyclotomic coset C of Z/n, e_C = sum of x^j over j in C satisfies
+    e_C^2 = e_C mod x^n + 1; these are the idempotents of binary cyclic
+    codes (MacWilliams and Sloane, ch. 8), and they span Berlekamp's algebra
+    of every f | x^n + 1.  So splitting each piece by gcd(piece, e_C mod
+    piece), over the cosets C != {0} in turn, separates every factor.
     """
-    if f.is_zero() or f.degree < 1:
-        raise ValueError("factor requires a nonzero polynomial of degree >= 1")
-    found: dict[int, int] = {}
-    for part, mult in _squarefree_parts(f.bits).items():
-        for g in _berlekamp_factors(part):
-            found[g] = found.get(g, 0) + mult
-    return sorted(
-        ((Gf2Poly(g), e) for g, e in found.items()),
-        key=lambda item: (item[0].degree, item[0].bits),
-    )
+    d = multiplicative_order(2, n)
+    count = f.degree // d
+    pieces = [f.bits]
+    seen = bytearray(n)
+    seen[0] = 1
+    for c in range(1, n):
+        if len(pieces) == count:
+            break
+        if seen[c]:
+            continue
+        e_c = 0
+        j = c
+        while not seen[j]:
+            seen[j] = 1
+            e_c |= 1 << j
+            j = 2 * j % n
+        split = []
+        for piece in pieces:
+            g = _gcd_int(piece, _mod_int(e_c, piece)) if piece.bit_length() - 1 > d else piece
+            split += [piece] if g in (1, piece) else [g, _divmod_int(piece, g)[0]]
+        pieces = split
+    if len(pieces) != count:
+        raise RuntimeError(f"the cyclotomic cosets of Z/{n} did not separate the factors")
+    return sorted(map(Gf2Poly, pieces), key=lambda g: g.bits)
+
+
+def factor(g: Gf2Poly, v: int) -> list[tuple[Gf2Poly, int]]:
+    """Complete factorization of g | x^v + 1 into (irreducible, multiplicity) pairs.
+
+    Pairs are sorted by (degree, bit pattern); the product recombines to g.
+    With v = 2^e * w and w odd, the radical of g is gcd(g, x^w + 1), and the
+    factors whose roots have order d | w are gcd(rest, x^d + 1) once the
+    smaller divisors of w are taken out.  A factor h enters g at most 2^e
+    times, so its multiplicity is deg gcd(g, h^(2^e)) / deg h.
+    """
+    if g.degree < 1:
+        raise ValueError("factor requires a polynomial of degree >= 1")
+    e = (v & -v).bit_length() - 1
+    w = v >> e
+    rest = _gcd_int(g.bits, _x_pow_mod(w, g.bits) ^ 1)
+    found = []
+    for d in divisors(w):
+        if rest == 1:
+            break
+        part = _gcd_int(rest, _x_pow_mod(d, rest) ^ 1)
+        if part == 1:
+            continue
+        rest = _divmod_int(rest, part)[0]
+        for h in factor_squarefree(Gf2Poly(part), d):
+            top = h.bits
+            for _ in range(e):
+                top = _sqr_int(top)
+            shared = _gcd_int(top, _mod_int(g.bits, top))
+            found.append((h, (shared.bit_length() - 1) // h.degree))
+    if sum(h.degree * mult for h, mult in found) != g.degree:
+        raise ValueError(f"a polynomial of degree {g.degree} does not divide x^{v} + 1")
+    return sorted(found, key=lambda item: (item[0].degree, item[0].bits))
 
 
 def factored_str(factors: list[tuple[Gf2Poly, int]]) -> str:

@@ -159,7 +159,7 @@ def closed_form_pure_K(p: int, m: int, k: int) -> int:
 
 
 _CLASS_NUMBER_BLOCK = 1 << 14  # small enough to stay in cache
-_INT64_SQUARES_BELOW = 1 << 32  # for ell below this, x^2 < 2^62 for every x < ell/2
+_CLASS_NUMBER_ELL_BOUND = 1 << 32  # below it, x^2 < 2^62 for every x < ell/2
 
 
 def class_number(ell: int) -> int:
@@ -169,17 +169,19 @@ def class_number(ell: int) -> int:
     (a|ell) over 0 < a < ell/2.  Each residue is x^2 mod ell for exactly one
     x in that range, so S = 2 * #{x : x^2 mod ell < ell/2} - (ell - 1)/2,
     counted in numpy blocks.  Requires ell prime, ell = 3 mod 4, ell > 3
-    (so -ell is a fundamental discriminant).
+    (so -ell is a fundamental discriminant) and ell < 2^32, so that the
+    squares fit int64.
     """
+    if ell >= _CLASS_NUMBER_ELL_BOUND:
+        raise ValueError(f"ell = {ell} is not below the class-number bound 2^32")
     if ell % 4 != 3:
         raise ValueError(f"ell = {ell} must be 3 mod 4")
     if ell <= 3 or not is_prime(ell):
         raise ValueError(f"ell = {ell} must be a prime > 3")
     half = (ell - 1) // 2
-    dtype = np.int64 if ell < _INT64_SQUARES_BELOW else object
     residues = 0
     for start in range(1, half + 1, _CLASS_NUMBER_BLOCK):
-        x = np.arange(start, min(start + _CLASS_NUMBER_BLOCK, half + 1), dtype=dtype)
+        x = np.arange(start, min(start + _CLASS_NUMBER_BLOCK, half + 1), dtype=np.int64)
         residues += int(np.count_nonzero(x * x % ell <= half))
     h, rem = divmod(2 * residues - half, 1 if ell % 8 == 7 else 3)
     if rem or h < 1:

@@ -3,7 +3,13 @@
 The coset construction builds the factors of Phi_k mod 2 as minimal
 polynomials of the powers of an element of order k inside an explicit
 GF(2^f), f = ord_k(2), without factoring anything.  It is the oracle of
-`slce.cyclotomic.ideal_factors`, which splits Phi_k mod 2 by Berlekamp.
+`slce.cyclotomic.ideal_factors`.
+
+`berlekamp_factor` factors any polynomial over GF(2): a squarefree split by
+derivatives and square roots, then Berlekamp's Q-matrix method on each
+squarefree part.  It is the oracle of `slce.gf2poly.factor` and
+`factor_squarefree`, which factor only divisors of x^n + 1, n odd, by
+splitting with the cyclotomic-coset idempotents.
 
 The element operations act on one field element at a time through the
 exponent and log tables of a context; the tests use them to check the
@@ -13,7 +19,7 @@ tables and the vectorised constructions built on them.
 from math import gcd as intgcd
 
 from slce.fields import FieldCtx, FieldElt, multiplicative_order, prime_factors
-from slce.gf2poly import X, Gf2Poly, _mod_int, _mul_int, _sqr_int
+from slce.gf2poly import X, Gf2Poly, _divmod_int, _gcd_int, _mod_int, _mul_int, _sqr_int
 
 # ---------------------------------------------------------------------------
 # Cyclotomic cosets and minimal polynomials of roots of unity over GF(2).
@@ -120,6 +126,123 @@ def coprime_coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], Gf2Poly]]
 def minimal_polys_of_order(k: int) -> list[Gf2Poly]:
     """Distinct minimal polynomials of the elements of order exactly k."""
     return sorted({g for _, g in coprime_coset_minimal_polys(k)}, key=lambda g: g.bits)
+
+
+# ---------------------------------------------------------------------------
+# General factorization: squarefree split, then Berlekamp's Q-matrix method.
+# ---------------------------------------------------------------------------
+
+_COMPRESS = [sum(((b >> (2 * i)) & 1) << i for i in range(4)) for b in range(256)]
+
+
+def _sqrt_int(a: int) -> int:
+    r = 0
+    shift = 0
+    while a:
+        chunk = a & 0xFFFF
+        if chunk & 0xAAAA:
+            raise ValueError("not a square over GF(2)")
+        r |= (_COMPRESS[chunk & 0xFF] | (_COMPRESS[chunk >> 8] << 4)) << shift
+        a >>= 16
+        shift += 8
+    return r
+
+
+def _derivative(a: int) -> int:
+    n = (a.bit_length() + 1) & ~1  # even length so the mask below is exact
+    mask = ((1 << n) - 1) // 3  # bits at even positions: 0b...010101
+    return (a >> 1) & mask
+
+
+def _squarefree_parts(f: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    df = _derivative(f)
+    if df == 0:
+        for g, e in _squarefree_parts(_sqrt_int(f)).items():
+            out[g] = out.get(g, 0) + 2 * e
+        return out
+    c = _gcd_int(f, df)
+    w = _divmod_int(f, c)[0]
+    i = 1
+    while w != 1:
+        y = _gcd_int(w, c)
+        z = _divmod_int(w, y)[0]
+        if z != 1:
+            out[z] = out.get(z, 0) + i
+        w = y
+        c = _divmod_int(c, y)[0]
+        i += 1
+    if c != 1:
+        for g, e in _squarefree_parts(_sqrt_int(c)).items():
+            out[g] = out.get(g, 0) + 2 * e
+    return out
+
+
+def _left_nullspace_gf2(rows: list[int]) -> list[int]:
+    """Combos v (bit i = row i) with xor of the selected rows = 0."""
+    pivots: dict[int, tuple[int, int]] = {}
+    null = []
+    for i, row in enumerate(rows):
+        combo = 1 << i
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (row, combo)
+                break
+            prow, pcombo = pivots[top]
+            row ^= prow
+            combo ^= pcombo
+        if row == 0:
+            null.append(combo)
+    return null
+
+
+def _berlekamp_factors(f: int) -> list[int]:
+    """Irreducible factors of a squarefree f (deterministic Q-matrix method)."""
+    n = f.bit_length() - 1
+    if n <= 1:
+        return [f]
+    x2 = _mod_int(4, f)  # x^2
+    rows = []
+    r = 1
+    for i in range(n):
+        rows.append(r ^ (1 << i))  # row i of Q - I, where Q row i = x^(2i) mod f
+        r = _mod_int(_mul_int(r, x2), f)
+    basis = _left_nullspace_gf2(rows)
+    pieces = [f]
+    for v in basis:
+        if v == 1:  # constant splitting polynomial carries no information
+            continue
+        refined = []
+        for piece in pieces:
+            vm = _mod_int(v, piece) if piece.bit_length() - 1 > 1 else 0
+            g = _gcd_int(vm, piece) if vm else piece
+            if 0 < g.bit_length() - 1 < piece.bit_length() - 1:
+                refined.append(g)
+                refined.append(_divmod_int(piece, g)[0])
+            else:
+                refined.append(piece)
+        pieces = refined
+    if len(pieces) != len(basis):
+        raise RuntimeError("splitting basis did not separate all factors")
+    return pieces
+
+
+def berlekamp_factor(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
+    """Complete factorization into (irreducible, multiplicity) pairs.
+
+    Pairs are sorted by (degree, bit pattern); the product recombines to f.
+    """
+    if f.is_zero() or f.degree < 1:
+        raise ValueError("factor requires a nonzero polynomial of degree >= 1")
+    found: dict[int, int] = {}
+    for part, mult in _squarefree_parts(f.bits).items():
+        for g in _berlekamp_factors(part):
+            found[g] = found.get(g, 0) + mult
+    return sorted(
+        ((Gf2Poly(g), e) for g, e in found.items()),
+        key=lambda item: (item[0].degree, item[0].bits),
+    )
 
 
 # ---------------------------------------------------------------------------

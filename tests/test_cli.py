@@ -102,6 +102,15 @@ def test_predict_invalid_k_with_huge_q(capsys):
     assert capsys.readouterr().err == "error: k = 7 does not divide q - 1 = 3^100001 - 1\n"
 
 
+def test_predict_rejects_ell_beyond_class_number_bound(capsys):
+    # ell = 4294967543 > 2^32: the Dirichlet sum would run for hours
+    t0 = time.perf_counter()
+    rc, _ = run(["predict", "-p", "3", "-m", "2147483771", "-k", "4294967543"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err == "error: ell = 4294967543 is not below the class-number bound 2^32\n"
+
+
 def test_predict_index2_large_class_number_is_fast():
     # h = 7: a linear scan for 4p^h = a^2 + ell b^2 never finishes here
     t0 = time.perf_counter()

@@ -211,7 +211,7 @@ def test_ideal_factors_fixtures():
 
 
 def test_ideal_factors_match_coset_oracle():
-    # Berlekamp on Phi_k mod 2 against minimal polynomials built in GF(2^f);
+    # the coset split of Phi_k mod 2 against minimal polynomials built in GF(2^f);
     # 255, 511 and 1023 = 2^f - 1 split into 16, 48 and 60 factors of degree f
     for k in [*range(3, 150, 2), 255, 511, 1023]:
         pairs = coprime_coset_minimal_polys(k)

@@ -8,6 +8,7 @@ from slce.fields import (
     FieldElt,
     build_field,
     canonical_modulus,
+    divisors,
     euler_phi,
     is_prime,
     multiplicative_order,
@@ -211,3 +212,8 @@ def test_multiplicative_order_matches_powering_loop():
                 x = (x * a) % n
                 order += 1
             assert multiplicative_order(a, n) == order, (a, n)
+
+
+def test_divisors_match_scan():
+    for n in range(1, 2000):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n

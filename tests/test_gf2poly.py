@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coset_minimal_polys, cyclotomic_cosets, minimal_polys_of_order, smallest_irreducible
+from oracles import (
+    _berlekamp_factors,
+    berlekamp_factor,
+    coset_minimal_polys,
+    cyclotomic_cosets,
+    minimal_polys_of_order,
+    smallest_irreducible,
+)
 from slce.cli import _odd_prime_powers_upto
-from slce.cyclotomic import ideal_factors
-from slce.fields import build_field
+from slce.cyclotomic import cyclotomic_poly, ideal_factors
+from slce.fields import build_field, divisors
 from slce.gf2poly import (
     _divmod_int,
     _gcd_int,
@@ -75,7 +82,7 @@ def test_gcd_fixtures():
 def test_gcd_reference_q25():
     seq = generate(build_field(5, 2))
     g = gcd(poly_from_seq(seq), x_pow_plus_one(24))
-    assert factored_str(factor(g)) == "(x+1)^4"
+    assert factored_str(factor(g, 24)) == "(x+1)^4"
 
 
 @given(a=polys, b=polys, c=polys)
@@ -155,28 +162,53 @@ def test_square_matches_product(a):
 
 
 def test_factor_fixtures():
-    assert factor(Gf2Poly(0b111)) == [(Gf2Poly(0b111), 1)]  # irreducible quadratic
+    assert factor(Gf2Poly(0b111), 3) == [(Gf2Poly(0b111), 1)]  # irreducible quadratic
     # x^7 + 1: oracle below divides out all cubics exhaustively
     f = Gf2Poly((1 << 7) | 1)
-    got = factor(f)
+    got = factor(f, 7)
     cubics = [Gf2Poly(bits) for bits in range(0b1000, 0b10000) if Gf2Poly(bits).divides(f)]
     assert [g for g, _ in got] == sorted([Gf2Poly(0b11)] + cubics, key=lambda g: (g.degree, g.bits))
     assert all(e == 1 for _, e in got)
 
     p4 = Gf2Poly(0b11)
     p4 = p4 * p4 * p4 * p4
-    assert factor(p4) == [(Gf2Poly(0b11), 4)]
+    assert factor(p4, 4) == [(Gf2Poly(0b11), 4)]
     with pytest.raises(ValueError):
-        factor(ONE)
+        factor(ONE, 4)
     with pytest.raises(ValueError):
-        factor(Gf2Poly(0))
+        factor(Gf2Poly(0), 4)
+    with pytest.raises(ValueError):  # x^3 + x + 1 divides x^7 + 1, not x^6 + 1
+        factor(Gf2Poly(0b1011), 6)
+    with pytest.raises(ValueError):  # (x + 1)^8 does not divide x^12 + 1 = (x^3 + 1)^4
+        factor(p4 * p4, 12)
+
+
+@st.composite
+def binomial_divisors(draw):
+    """(g, v): g a random product of factors of Phi_d mod 2, d | w, each to a power <= 2^e."""
+    e = draw(st.integers(min_value=0, max_value=5))
+    w = draw(st.sampled_from([1, 3, 7, 9, 15, 21, 45, 63, 73, 105, 255]))
+    g = ONE
+    for d in divisors(w):
+        for h in _berlekamp_factors(Gf2Poly.from_coeffs(cyclotomic_poly(d)).bits):
+            for _ in range(draw(st.integers(min_value=0, max_value=1 << e))):
+                g = g * Gf2Poly(h)
+    return (g if g.degree >= 1 else Gf2Poly(0b11)), w << e
+
+
+@given(case=binomial_divisors())
+@settings(max_examples=150, deadline=None)
+def test_factor_matches_berlekamp_oracle(case):
+    g, v = case
+    assert factor(g, v) == berlekamp_factor(g)
 
 
 @given(bits=st.integers(min_value=2, max_value=(1 << 44) - 1))
 @settings(max_examples=150, deadline=None)
 def test_factor_recombines_and_is_irreducible(bits):
+    # the oracle itself, on polynomials that need not divide any x^n + 1
     f = Gf2Poly(bits)
-    fac = factor(f)
+    fac = berlekamp_factor(f)
     assert recombine(fac) == f
     for g, e in fac:
         assert g.is_irreducible()
@@ -184,10 +216,27 @@ def test_factor_recombines_and_is_irreducible(bits):
     assert fac == sorted(fac, key=lambda item: (item[0].degree, item[0].bits))
 
 
+def test_factor_squarefree_matches_berlekamp_oracle():
+    for k in range(3, 300, 2):
+        f = Gf2Poly.from_coeffs(cyclotomic_poly(k))
+        want = sorted(map(Gf2Poly, _berlekamp_factors(f.bits)), key=lambda g: g.bits)
+        assert factor_squarefree(f, k) == want, k
+    # k = 2047: 176 factors of degree 11.  Factorization is unique, so
+    # distinct sorted irreducibles whose product is Phi_k are the oracle's
+    # answer, without its 1936 x 1936 Q-matrix.
+    f = Gf2Poly.from_coeffs(cyclotomic_poly(2047))
+    got = factor_squarefree(f, 2047)
+    assert len(got) == 176
+    assert all(g.degree == 11 and g.is_irreducible() for g in got)
+    assert [g.bits for g in got] == sorted({g.bits for g in got})
+    assert recombine([(g, 1) for g in got]) == f
+
+
 def test_factor_squarefree_structured_case():
-    # two reciprocal degree-18 irreducibles that defeat naive trace splitting
+    # two reciprocal degree-18 irreducibles that defeat naive trace splitting;
+    # their roots have order 2^18 - 1 = 262143
     f = Gf2Poly(0x145114514F)
-    parts = factor_squarefree(f)
+    parts = factor_squarefree(f, 262143)
     assert len(parts) == 2
     assert all(g.degree == 18 and g.is_irreducible() for g in parts)
     assert parts[0] * parts[1] == f

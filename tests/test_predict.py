@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import time
@@ -141,14 +140,6 @@ def test_class_number_against_reduced_forms_below_5000():
     ells = [ell for ell in range(7, 5000, 4) if is_prime(ell)]
     assert len(ells) > 300
     for ell in ells:
-        assert class_number(ell) == class_number_by_reduced_forms(ell), ell
-
-
-def test_class_number_python_int_path(monkeypatch):
-    # ell >= 2^32 counts in Python ints; force that path on small ell
-    predict_module = importlib.import_module("slce.predict")
-    monkeypatch.setattr(predict_module, "_INT64_SQUARES_BELOW", 0)
-    for ell in (7, 11, 23, 71, 191, 4999):
         assert class_number(ell) == class_number_by_reduced_forms(ell), ell
 
 
