@@ -10,9 +10,16 @@ polynomial attached to an ideal factor divides the sequence polynomial
 exactly when (K + 1)/2 reduces to zero modulo that ideal.
 
 Phi_k is built as the Moebius product of the x^d - 1 over d | k, and every
-element enters the power basis through one routine, `_reduce`: monic long
-division by Phi_k, exact, in O(k) memory.  It works in int64 when an a
-priori bound allows and in Python integers otherwise.
+element enters the power basis through one routine, `_reduce`: with
+Psi_k = (x^k - 1)/Phi_k, the remainder mod Phi_k is (vec * Psi_k mod
+x^k - 1) / Psi_k, and multiplying or dividing by Psi_k is one shift or one
+strided cumulative sum per factor (x^d - 1)^(+-1).  So a reduction is
+O(2^omega(k)) array operations of length O(k), exact, in O(k) memory.  It
+works in int64 when an a priori bound allows and in Python integers
+otherwise.
+The criterion packs the parity of (K + 1)/2 into a GF(2) polynomial in
+one numpy pass and reduces it modulo each ideal's g, after one gcd with
+x^k + 1 when Phi_k mod 2 has more than two factors.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldCtx, euler_phi, prime_factors
-from .gf2poly import Gf2Poly, factor_squarefree
+from .gf2poly import Gf2Poly, _gcd_int, factor_squarefree
 
 
 def _mobius_factors(k: int) -> list[tuple[int, int]]:
@@ -34,56 +41,89 @@ def _mobius_factors(k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _mobius_product(factors) -> np.ndarray:
-    """prod (x^d - 1)^e over (d, e) in factors, e = +-1; int64, constant first.
+def _times_mobius(a: np.ndarray, factors) -> np.ndarray:
+    """a * prod (x^d - 1)^e over (d, e) in factors, e = +-1; constant first.
 
     Multiplies first and then divides exactly, so every partial result is a
     polynomial.  int64 arithmetic wraps modulo 2^64 and both steps commute
-    with that wrap, so the result is exact whenever its own coefficients fit.
+    with that wrap (x^d - 1 is a unit at both ends), so the result is exact
+    whenever its own coefficients fit.
     """
-    out = np.ones(1, dtype=np.int64)
     for d, e in sorted(factors, key=lambda f: -f[1]):
+        n = len(a)
         if e > 0:
-            nxt = np.zeros(len(out) + d, dtype=np.int64)
-            nxt[d:] += out
-            nxt[:-d] -= out
-            out = nxt
+            nxt = np.zeros(n + d, dtype=a.dtype)
+            nxt[d:] += a
+            nxt[:-d] -= a
+            a = nxt
         else:
-            # out = quo * (x^d - 1) means quo[i] = quo[i - d] - out[i]
-            padded = np.zeros(-(-len(out) // d) * d, dtype=np.int64)
-            padded[: len(out)] = out
-            quo = -np.cumsum(padded.reshape(-1, d), axis=0).ravel()
-            if quo[len(out) - d :].any():
+            # a = quo * (x^d - 1) means quo[i] = quo[i - d] - a[i]
+            if n % d:
+                a = np.concatenate((a, np.zeros(d - n % d, dtype=a.dtype)))
+            acc = np.cumsum(a.reshape(-1, d), axis=0).ravel()
+            if acc[n - d : n].any():
                 raise ArithmeticError(f"x^{d} - 1 does not divide the partial product")
-            out = quo[: len(out) - d]
-    return out
+            a = -acc[: n - d]
+    return a
 
 
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients (constant first) of the k-th cyclotomic polynomial."""
-    return tuple(int(c) for c in _mobius_product(_mobius_factors(k)))
+    return tuple(_times_mobius(np.ones(1, dtype=np.int64), _mobius_factors(k)).tolist())
+
+
+def _fold(a: np.ndarray, k: int) -> np.ndarray:
+    """a mod (x^k - 1): the sum of a's length-k slices."""
+    if len(a) == k:
+        return a
+    out = np.zeros(k, dtype=a.dtype)
+    for start in range(0, len(a), k):
+        chunk = a[start : start + k]
+        out[: len(chunk)] += chunk
+    return out
+
+
+@lru_cache(maxsize=None)
+def _psi_plan(k: int) -> tuple[int, tuple, tuple]:
+    """(growth, Psi_k, 1/Psi_k), the last two as Moebius factors; Psi_k = (x^k - 1)/Phi_k.
+
+    growth = 1 + max|Psi_k| |Phi_k|_1.  Phi_k is palindromic, so 1/Phi_k =
+    -Psi_k (1 + x^k + x^2k + ...): every quotient coefficient of a division
+    by Phi_k is a sum of input coefficients times coefficients of Psi_k, and
+    no remainder coefficient exceeds |vec|_1 * growth.
+    """
+    factors = _mobius_factors(k)
+    psi = tuple((d, -e) for d, e in factors if d != k)
+    one = np.ones(1, dtype=np.int64)
+    growth = 1 + int(np.abs(_times_mobius(one, psi)).max()) * int(np.abs(_times_mobius(one, factors)).sum())
+    return growth, psi, tuple((d, -e) for d, e in psi)
+
+
+def _l1(vec: np.ndarray) -> int:
+    a = np.abs(vec)
+    top = int(a.max())
+    if 0 <= top and top * len(a) < 2**63:  # abs(-2^63) wraps negative
+        return int(a.sum())
+    return sum(abs(c) for c in vec.tolist())
 
 
 def _reduce(k: int, vec) -> tuple[int, ...]:
-    """Coordinates of sum vec[j] x^j modulo Phi_k, exactly, by monic long division."""
-    factors = _mobius_factors(k)
-    phi = _mobius_product(factors)
-    n = len(phi) - 1
-    psi = _mobius_product([(d, -e) for d, e in factors if d != k])
-    # Each quotient coefficient is a sum of vec[j] times coefficients of
-    # Psi_k = (x^k - 1)/Phi_k, because Phi_k is palindromic and 1/Phi_k =
-    # -Psi_k (1 + x^k + x^2k + ...); so no partial remainder exceeds
-    # |vec|_1 (1 + max|Psi_k| |Phi_k|_1), and below 2^63 int64 is exact.
-    vec = [int(c) for c in vec]
-    bound = sum(map(abs, vec)) * (1 + int(np.abs(psi).max()) * int(np.abs(phi).sum()))
-    dtype = np.int64 if bound < 2**63 else object
-    rem = np.zeros(max(len(vec), n), dtype=dtype)
-    rem[: len(vec)] = vec
-    head = phi[:n].astype(dtype)
-    for i in range(len(rem) - 1, n - 1, -1):
-        if rem[i]:
-            rem[i - n : i] -= rem[i] * head
-    return tuple(int(c) for c in rem[:n])
+    """Coordinates of sum vec[j] x^j modulo Phi_k, exactly.
+
+    With Psi_k = (x^k - 1)/Phi_k, (vec mod Phi_k) * Psi_k = vec * Psi_k mod
+    (x^k - 1): fold vec mod x^k - 1, multiply by Psi_k, fold again and
+    divide by Psi_k exactly.  Psi_k and 1/Psi_k are products of
+    (x^d - 1)^(+-1) over the divisors d < k of k, so each step is a shift
+    and subtract or a strided cumulative sum, O(k 2^omega(k)) in all.
+    Works in int64 when |vec|_1 * growth < 2^63 bounds the result (see
+    `_psi_plan`), and in Python integers otherwise.
+    """
+    if not (isinstance(vec, np.ndarray) and vec.dtype == np.int64):
+        vec = np.array([int(c) for c in vec], dtype=object)
+    growth, psi, inverse = _psi_plan(k)
+    dtype = np.int64 if _l1(vec) * growth < 2**63 else object
+    times_psi = _fold(_times_mobius(_fold(vec.astype(dtype, copy=False), k), psi), k)
+    return tuple(_times_mobius(times_psi, inverse).tolist())
 
 
 def _require_odd_k(k: int) -> None:
@@ -193,7 +233,7 @@ def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
     q = ctx.q
     i = np.arange(1, q - 1, dtype=np.int64)
     dlog4 = int(ctx.dlog_table[ctx.encode(ctx.from_int(4))])
-    classes = (i + ctx.zech_table[i] + dlog4) % k
+    classes = (i + ctx.zech_table[1 : q - 1] + dlog4) % k
     counts = np.bincount(classes, minlength=k)
     return CycInt.from_exponent_counts(k, counts)
 
@@ -248,34 +288,25 @@ def ideal_factors(k: int) -> tuple[IdealFactor, ...]:
     return tuple(IdealFactor(k=k, g=g, f=g.degree) for g in gs)
 
 
-def _parity(a: CycInt) -> Gf2Poly:
-    """The coordinates of a mod 2, as a polynomial in zeta over GF(2)."""
-    return Gf2Poly(int("".join("1" if c & 1 else "0" for c in reversed(a.coeffs)), 2))
-
-
-def reduce_mod_ideal(a: CycInt, ideal: IdealFactor) -> Gf2Poly:
-    """Residue of a in GF(2)[x]/(g): coordinates mod 2, then zeta -> x mod g."""
-    if a.k != ideal.k:
-        raise ValueError(f"mismatched cyclotomic orders {a.k} and {ideal.k}")
-    return _parity(a) % ideal.g
-
-
-def half_K_plus_one(ctx: FieldCtx, k: int) -> CycInt:
-    """(K + 1)/2, exact; every power-basis coordinate of K + 1 must be even."""
-    kval = jacobi_K(ctx, k)
-    w = list(kval.coeffs)
-    w[0] += 1
-    if any(c & 1 for c in w):
-        raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")
-    return CycInt(k, tuple(c >> 1 for c in w))
-
-
 def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     """For each ideal of ideal_factors(k), in order: True iff (K + 1)/2 lies in it.
 
     Equivalent to: the minimal polynomial g attached to the ideal divides
     the sequence polynomial of the SLCE sequence for ctx.  Since k is odd,
-    chi(-1) = 1 and no sign adjustment is needed.
+    chi(-1) = 1 and no sign adjustment is needed.  The ideal (2, g(zeta))
+    contains (K + 1)/2 exactly when g divides its coordinates mod 2, read
+    as a polynomial in zeta over GF(2).
     """
-    u = _parity(half_K_plus_one(ctx, k))
-    return tuple((u % ideal.g).is_zero() for ideal in ideal_factors(k))
+    coeffs = jacobi_K(ctx, k).coeffs
+    fits = -(2**62) < min(coeffs) and max(coeffs) < 2**62  # with room for the + 1
+    w = np.array(coeffs, dtype=np.int64 if fits else object)
+    w[0] += 1
+    if (w & 1).any():
+        raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")
+    u = Gf2Poly.from_coeffs((w >> 1) & 1)
+    ideals = ideal_factors(k)
+    if len(ideals) > 2:
+        # each g divides x^k + 1: one Euclid of length ~k replaces one
+        # division of length ~phi(k) per ideal
+        u = Gf2Poly(_gcd_int(u.bits, (1 << k) | 1))
+    return tuple((u % ideal.g).is_zero() for ideal in ideals)

@@ -364,21 +364,6 @@ class FieldCtx:
         """The constant c, i.e. the image of the integer c in the field."""
         return FieldElt((c % self.p,) + (0,) * (self.m - 1))
 
-    # -- core operations -------------------------------------------------------
-
-    def power(self, t: int) -> FieldElt:
-        """alpha^(t mod (q-1))."""
-        return self.decode(int(self.exp_table[t % (self.q - 1)]))
-
-    def dlog(self, x: FieldElt) -> int:
-        code = self.encode(x)
-        if code == 0:
-            raise ValueError("discrete log of zero is undefined")
-        return int(self.dlog_table[code])
-
-    def trace(self, x: FieldElt) -> int:
-        return int(np.dot(self._trace_basis, np.array(x.coeffs, dtype=np.int64)) % self.p)
-
     def describe(self) -> dict:
         """Echo of the deterministic choices, embedded in every report."""
         return {

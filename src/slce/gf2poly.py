@@ -1,10 +1,12 @@
-"""Polynomial arithmetic over GF(2): gcd, factorization, linear complexity.
+"""Polynomial arithmetic over GF(2): gcd with x^v + 1, factorization.
 
 Polynomials are bit-packed: bit i of an integer is the coefficient of x^i.
 Addition is xor, squaring is a byte-table bit spread, and remainders come
 from long division that feeds a long dividend into a short running
 remainder a window at a time, so a remainder costs about
-deg(dividend) * deg(divisor) / 64 word operations.
+deg(dividend) * deg(divisor) / 64 word operations.  Euclid (`_gcd_int`)
+runs that xor-and-shift loop inline, step after step, and calls the
+windowed division only when a degree gap exceeds the window.
 
 Every polynomial the package factors (Phi_k mod 2, and the gcd of x^v + 1
 with a sequence polynomial) divides some x^v + 1, so its factors are split
@@ -23,8 +25,6 @@ GF(2) are automatically monic.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -101,8 +101,17 @@ def _mod_int(a: int, b: int) -> int:
 
 
 def _gcd_int(a: int, b: int) -> int:
+    """Euclid; each remainder is long division in place, windowed when the degree gap is wide."""
     while b:
-        a, b = b, _mod_int(a, b)
+        db = b.bit_length()
+        da = a.bit_length()
+        if da - db > _WINDOW:
+            a = _mod_int(a, b)
+        else:
+            while da >= db:
+                a ^= b << (da - db)
+                da = a.bit_length()
+        a, b = b, a
     return a
 
 
@@ -194,35 +203,15 @@ class Gf2Poly:
     def divides(self, other: "Gf2Poly") -> bool:
         return _mod_int(other.bits, self.bits) == 0
 
-    def is_irreducible(self) -> bool:
-        """Ben-Or test: no factor of degree <= degree/2."""
-        d = self.degree
-        if d < 1:
-            return False
-        if d == 1:
-            return True
-        t = _mod_int(2, self.bits)  # the polynomial x
-        for _ in range(d // 2):
-            t = _mod_int(_sqr_int(t), self.bits)
-            if _gcd_int(t ^ 2, self.bits).bit_length() - 1 != 0:
-                return False
-        return True
-
     def __str__(self) -> str:
         if self.bits == 0:
             return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            if (self.bits >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-        return "+".join(terms)
+        packed = np.frombuffer(self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+        exponents = np.flatnonzero(np.unpackbits(packed, bitorder="little"))[::-1].tolist()
+        return "+".join("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in exponents)
 
     def __repr__(self) -> str:
         return f"Gf2Poly({self})"
-
-
-X = Gf2Poly(2)
-ONE = Gf2Poly(1)
 
 
 def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
@@ -239,11 +228,6 @@ def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
     if a_bits.bit_count() == 2 and a_bits & 1 and b_bits:  # a = x^v + 1
         return Gf2Poly(_gcd_binomial(a_bits.bit_length() - 1, b_bits))
     return Gf2Poly(_gcd_int(a_bits, b_bits))
-
-
-def all_ones_poly(k: int) -> Gf2Poly:
-    """1 + x + ... + x^(k-1)."""
-    return Gf2Poly((1 << k) - 1)
 
 
 def x_pow_plus_one(v: int) -> Gf2Poly:
@@ -352,68 +336,3 @@ def factored_str(factors: list[tuple[Gf2Poly, int]]) -> str:
     for g, e in factors:
         parts.append(f"({g})" + (f"^{e}" if e != 1 else ""))
     return " ".join(parts)
-
-
-def recombine(factors: list[tuple[Gf2Poly, int]]) -> Gf2Poly:
-    out = ONE
-    for g, e in factors:
-        for _ in range(e):
-            out = out * g
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Linear complexity, two ways.
-# ---------------------------------------------------------------------------
-
-
-def linear_complexity(seq) -> int:
-    """v - deg gcd(x^v + 1, sequence polynomial); 0 for the zero sequence."""
-    s2 = poly_from_seq(seq)
-    if s2.is_zero():
-        warnings.warn("all-zero sequence: linear complexity 0 by convention")
-        return 0
-    return seq.v - gcd(x_pow_plus_one(seq.v), s2).degree
-
-
-def berlekamp_massey(seq, n_terms: int | None = None) -> tuple[int, Gf2Poly]:
-    """Shortest-register synthesis from two periods of the sequence.
-
-    Returns (L, connection polynomial c with c_0 = 1, ascending bits).  The
-    connection polynomial satisfies sum_i c_i s_(n-i) = 0 for n >= L.
-    """
-    v = seq.v
-    if n_terms is None:
-        n_terms = 2 * v
-    if n_terms < 2 * v:
-        raise ValueError(f"need at least 2v = {2 * v} terms, got {n_terms}")
-    reps = -(-n_terms // v)
-    bits = [int(b) for b in seq.bits] * reps
-    bits = bits[:n_terms]
-    n_total = len(bits)
-    s_rev = 0
-    for b in bits:  # bit j of s_rev = bits[n_total - 1 - j]
-        s_rev = (s_rev << 1) | b
-    c, b_poly = 1, 1
-    big_l, last = 0, -1
-    for n in range(n_total):
-        d = (c & (s_rev >> (n_total - 1 - n))).bit_count() & 1
-        if d:
-            t = c
-            c ^= b_poly << (n - last)
-            if 2 * big_l <= n:
-                big_l = n + 1 - big_l
-                b_poly = t
-                last = n
-    return big_l, Gf2Poly(c)
-
-
-def lfsr_regenerate(connection: Gf2Poly, big_l: int, seed: list[int], count: int) -> list[int]:
-    """Run the register s_n = sum_(i=1..L) c_i s_(n-i) from the seed bits."""
-    out = list(seed[:big_l])
-    for n in range(len(out), count):
-        acc = 0
-        for i in range(1, big_l + 1):
-            acc ^= connection.coeff(i) & out[n - i]
-        out.append(acc)
-    return out[:count]

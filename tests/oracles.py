@@ -11,15 +11,181 @@ squarefree part.  It is the oracle of `slce.gf2poly.factor` and
 `factor_squarefree`, which factor only divisors of x^n + 1, n odd, by
 splitting with the cyclotomic-coset idempotents.
 
+`gcd_by_divmod` is textbook Euclid on `_divmod_int` alone, the oracle of
+`_gcd_int` and of the gcd with x^v + 1.  `linear_complexity` and
+Berlekamp-Massey give the linear complexity two ways, from the gcd and
+from the shortest register.
+
+`reduce_by_long_division` is the row-by-row monic long division by Phi_k
+that `slce.cyclotomic._reduce` replaced; `half_K_plus_one` and
+`reduce_mod_ideal` are the element-level path through Z[zeta_k] that
+`slce.cyclotomic.criterion` replaced with one packed array.
+
 The element operations act on one field element at a time through the
 exponent and log tables of a context; the tests use them to check the
 tables and the vectorised constructions built on them.
 """
 
+import warnings
 from math import gcd as intgcd
 
-from slce.fields import FieldCtx, FieldElt, multiplicative_order, prime_factors
-from slce.gf2poly import X, Gf2Poly, _divmod_int, _gcd_int, _mod_int, _mul_int, _sqr_int
+import numpy as np
+
+from slce import cyclotomic
+from slce.cyclotomic import CycInt, IdealFactor, cyclotomic_poly
+from slce.fields import FieldCtx, FieldElt, divisors, multiplicative_order, prime_factors
+from slce.gf2poly import Gf2Poly, _divmod_int, _gcd_int, _mod_int, _mul_int, _sqr_int, gcd, poly_from_seq
+
+X = Gf2Poly(2)
+ONE = Gf2Poly(1)
+
+
+# ---------------------------------------------------------------------------
+# GF(2)[x]: Euclid, irreducibility, products, linear complexity.
+# ---------------------------------------------------------------------------
+
+
+def gcd_by_divmod(a: int, b: int) -> int:
+    """Euclid with a full quotient and remainder at every step."""
+    while b:
+        a, b = b, _divmod_int(a, b)[1]
+    return a
+
+
+def is_irreducible(f: Gf2Poly) -> bool:
+    """Ben-Or test: no factor of degree <= degree/2."""
+    d = f.degree
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    t = _mod_int(2, f.bits)  # the polynomial x
+    for _ in range(d // 2):
+        t = _mod_int(_sqr_int(t), f.bits)
+        if _gcd_int(t ^ 2, f.bits).bit_length() - 1 != 0:
+            return False
+    return True
+
+
+def all_ones_poly(k: int) -> Gf2Poly:
+    """1 + x + ... + x^(k-1)."""
+    return Gf2Poly((1 << k) - 1)
+
+
+def recombine(factors: list[tuple[Gf2Poly, int]]) -> Gf2Poly:
+    out = ONE
+    for g, e in factors:
+        for _ in range(e):
+            out = out * g
+    return out
+
+
+def linear_complexity(seq) -> int:
+    """v - deg gcd(x^v + 1, sequence polynomial); 0 for the zero sequence."""
+    s2 = poly_from_seq(seq)
+    if s2.is_zero():
+        warnings.warn("all-zero sequence: linear complexity 0 by convention")
+        return 0
+    return seq.v - gcd(Gf2Poly((1 << seq.v) | 1), s2).degree
+
+
+def berlekamp_massey(seq, n_terms: int | None = None) -> tuple[int, Gf2Poly]:
+    """Shortest-register synthesis from two periods of the sequence.
+
+    Returns (L, connection polynomial c with c_0 = 1, ascending bits).  The
+    connection polynomial satisfies sum_i c_i s_(n-i) = 0 for n >= L.
+    """
+    v = seq.v
+    if n_terms is None:
+        n_terms = 2 * v
+    if n_terms < 2 * v:
+        raise ValueError(f"need at least 2v = {2 * v} terms, got {n_terms}")
+    reps = -(-n_terms // v)
+    bits = [int(b) for b in seq.bits] * reps
+    bits = bits[:n_terms]
+    n_total = len(bits)
+    s_rev = 0
+    for b in bits:  # bit j of s_rev = bits[n_total - 1 - j]
+        s_rev = (s_rev << 1) | b
+    c, b_poly = 1, 1
+    big_l, last = 0, -1
+    for n in range(n_total):
+        d = (c & (s_rev >> (n_total - 1 - n))).bit_count() & 1
+        if d:
+            t = c
+            c ^= b_poly << (n - last)
+            if 2 * big_l <= n:
+                big_l = n + 1 - big_l
+                b_poly = t
+                last = n
+    return big_l, Gf2Poly(c)
+
+
+def lfsr_regenerate(connection: Gf2Poly, big_l: int, seed: list[int], count: int) -> list[int]:
+    """Run the register s_n = sum_(i=1..L) c_i s_(n-i) from the seed bits."""
+    out = list(seed[:big_l])
+    for n in range(len(out), count):
+        acc = 0
+        for i in range(1, big_l + 1):
+            acc ^= connection.coeff(i) & out[n - i]
+        out.append(acc)
+    return out[:count]
+
+
+# ---------------------------------------------------------------------------
+# Z[zeta_k]: long division by Phi_k, and the criterion one element at a time.
+# ---------------------------------------------------------------------------
+
+
+def reduce_by_long_division(k: int, vec) -> tuple[int, ...]:
+    """sum vec[j] x^j mod Phi_k by monic long division, one row update per quotient term.
+
+    int64 when |vec|_1 (1 + max|Psi_k| |Phi_k|_1) < 2^63, Python integers
+    otherwise; Psi_k = (x^k - 1)/Phi_k is the product of Phi_d, d | k, d < k.
+    """
+    phi = np.array(cyclotomic_poly(k), dtype=np.int64)
+    n = len(phi) - 1
+    psi = np.ones(1, dtype=np.int64)
+    for d in divisors(k)[:-1]:
+        psi = np.convolve(psi, cyclotomic_poly(d))
+    vec = [int(c) for c in vec]
+    bound = sum(map(abs, vec)) * (1 + int(np.abs(psi).max()) * int(np.abs(phi).sum()))
+    dtype = np.int64 if bound < 2**63 else object
+    rem = np.zeros(max(len(vec), n), dtype=dtype)
+    rem[: len(vec)] = vec
+    head = phi[:n].astype(dtype)
+    for i in range(len(rem) - 1, n - 1, -1):
+        if rem[i]:
+            rem[i - n : i] -= rem[i] * head
+    return tuple(int(c) for c in rem[:n])
+
+
+def half_K_plus_one(ctx: FieldCtx, k: int) -> CycInt:
+    """(K + 1)/2, exact; every power-basis coordinate of K + 1 must be even."""
+    kval = cyclotomic.jacobi_K(ctx, k)
+    w = list(kval.coeffs)
+    w[0] += 1
+    if any(c & 1 for c in w):
+        raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")
+    return CycInt(k, tuple(c >> 1 for c in w))
+
+
+def parity(a: CycInt) -> Gf2Poly:
+    """The coordinates of a mod 2, as a polynomial in zeta over GF(2)."""
+    return Gf2Poly(int("".join("1" if c & 1 else "0" for c in reversed(a.coeffs)), 2))
+
+
+def reduce_mod_ideal(a: CycInt, ideal: IdealFactor) -> Gf2Poly:
+    """Residue of a in GF(2)[x]/(g): coordinates mod 2, then zeta -> x mod g."""
+    if a.k != ideal.k:
+        raise ValueError(f"mismatched cyclotomic orders {a.k} and {ideal.k}")
+    return parity(a) % ideal.g
+
+
+def criterion_by_elements(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
+    """`criterion` through CycInt: (K + 1)/2 reduced modulo each ideal in turn."""
+    u = half_K_plus_one(ctx, k)
+    return tuple(reduce_mod_ideal(u, ideal).is_zero() for ideal in cyclotomic.ideal_factors(k))
 
 # ---------------------------------------------------------------------------
 # Cyclotomic cosets and minimal polynomials of roots of unity over GF(2).
@@ -61,7 +227,7 @@ def smallest_irreducible(degree: int) -> Gf2Poly:
     if degree == 1:
         return X
     for cand in range((1 << degree) + 1, 1 << (degree + 1), 2):
-        if Gf2Poly(cand).is_irreducible():
+        if is_irreducible(Gf2Poly(cand)):
             return Gf2Poly(cand)
     raise RuntimeError(f"no irreducible of degree {degree}")  # unreachable
 
@@ -250,6 +416,31 @@ def berlekamp_factor(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
 # ---------------------------------------------------------------------------
 
 
+def power(ctx: FieldCtx, t: int) -> FieldElt:
+    """alpha^(t mod (q-1))."""
+    return ctx.decode(int(ctx.exp_table[t % (ctx.q - 1)]))
+
+
+def dlog(ctx: FieldCtx, x: FieldElt) -> int:
+    code = ctx.encode(x)
+    if code == 0:
+        raise ValueError("discrete log of zero is undefined")
+    return int(ctx.dlog_table[code])
+
+
+def trace(ctx: FieldCtx, x: FieldElt) -> int:
+    """Tr(x) = x + x^p + ... + x^(p^(m-1)), summed in the field; it lies in GF(p)."""
+    if x.is_zero():
+        return 0
+    t = dlog(ctx, x)
+    total = ctx.zero()
+    for i in range(ctx.m):
+        total = add(ctx, total, power(ctx, t * ctx.p**i))
+    if any(total.coeffs[1:]):
+        raise ArithmeticError(f"trace of {x} is not in the prime field")
+    return total.coeffs[0]
+
+
 def add(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:
     return FieldElt(tuple((a + b) % ctx.p for a, b in zip(x.coeffs, y.coeffs)))
 
@@ -261,10 +452,10 @@ def sub(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:
 def mul(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:
     if x.is_zero() or y.is_zero():
         return ctx.zero()
-    return ctx.power(ctx.dlog(x) + ctx.dlog(y))
+    return power(ctx, dlog(ctx, x) + dlog(ctx, y))
 
 
 def inv(ctx: FieldCtx, x: FieldElt) -> FieldElt:
     if x.is_zero():
         raise ZeroDivisionError("inverse of zero")
-    return ctx.power(-ctx.dlog(x))
+    return power(ctx, -dlog(ctx, x))

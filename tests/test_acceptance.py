@@ -16,7 +16,7 @@ import time
 import pytest
 
 from conftest import field_bundle
-from oracles import minimal_polys_of_order
+from oracles import all_ones_poly, berlekamp_massey, linear_complexity, minimal_polys_of_order
 from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import (
     check_eq3,
@@ -31,12 +31,9 @@ from slce.fields import is_prime
 from slce.gaussnum import REL_TOL, check_identities, modulus_suite
 from slce.gf2poly import (
     Gf2Poly,
-    all_ones_poly,
-    berlekamp_massey,
     factor,
     factored_str,
     gcd,
-    linear_complexity,
     poly_from_seq,
     x_pow_plus_one,
 )

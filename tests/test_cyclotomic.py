@@ -7,8 +7,19 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import coprime_coset_minimal_polys, sub
+from oracles import (
+    all_ones_poly,
+    coprime_coset_minimal_polys,
+    criterion_by_elements,
+    dlog,
+    half_K_plus_one,
+    power,
+    reduce_by_long_division,
+    reduce_mod_ideal,
+    sub,
+)
 from slce import cyclotomic
+from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import (
     CycInt,
     _reduce,
@@ -17,14 +28,12 @@ from slce.cyclotomic import (
     cyc_conj,
     cyc_mul,
     cyclotomic_poly,
-    half_K_plus_one,
     ideal_factors,
     jacobi_K,
     jacobi_with_rho,
-    reduce_mod_ideal,
 )
-from slce.fields import build_field
-from slce.gf2poly import Gf2Poly, all_ones_poly, poly_from_seq
+from slce.fields import build_field, divisors
+from slce.gf2poly import Gf2Poly, poly_from_seq
 from slce.sequences import generate
 
 
@@ -85,6 +94,26 @@ def test_reduce_and_phi_match_oracles(ks):
         assert CycInt.from_exponent_counts(k, counts).coeffs == _table_reduce(k, counts), k
         product = [int(c) for c in rng.integers(-50, 50, size=2 * n - 1)]  # as long as a * b
         assert _reduce(k, product) == _table_reduce(k, product), k
+
+
+@pytest.mark.parametrize(
+    "ks,scales",
+    [
+        # 2^61 and 2^70 push the oracle and `_reduce` onto Python integers
+        pytest.param(range(3, 400, 2), (10**3, 2**40, 2**61, 2**70), id="odd-below-400"),
+        pytest.param([1155, 15015], (10**3,), id="non-flat"),
+    ],
+)
+def test_reduce_matches_long_division(ks, scales):
+    rng = random.Random(11)
+    for k in ks:
+        n = len(cyclotomic_poly(k)) - 1
+        for length in (k, 2 * n - 1, 3 * k + 1):
+            scale = rng.choice(scales)
+            vec = [rng.randrange(-scale, scale) for _ in range(length)]
+            assert _reduce(k, vec) == reduce_by_long_division(k, vec), (k, length, scale)
+        counts = np.array([rng.randrange(0, 2 * k) for _ in range(k)], dtype=np.int64)
+        assert _reduce(k, counts) == reduce_by_long_division(k, counts), k
 
 
 def test_reduce_falls_back_to_python_ints():
@@ -159,9 +188,9 @@ def test_jacobi_K_brute_force_q13():
     counts = [0, 0, 0]
     one = ctx.one()
     for i in range(1, 12):
-        val = sub(ctx, one, ctx.power(i))
-        counts[(i + ctx.dlog(val)) % 3] += 1
-    dlog4 = ctx.dlog(ctx.from_int(4))
+        val = sub(ctx, one, power(ctx, i))
+        counts[(i + dlog(ctx, val)) % 3] += 1
+    dlog4 = dlog(ctx, ctx.from_int(4))
     shifted = [0, 0, 0]
     for j, c in enumerate(counts):
         shifted[(j + dlog4) % 3] += c
@@ -278,6 +307,27 @@ def test_half_K_plus_one_hard_error_path(monkeypatch):
     monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: CycInt(3, (k.coeffs[0] + 1, k.coeffs[1])))
     with pytest.raises(ArithmeticError):
         half_K_plus_one(ctx, 3)
+    with pytest.raises(ArithmeticError):
+        criterion(ctx, 3)
+
+
+def test_criterion_raises_on_odd_coordinate_beyond_the_first(monkeypatch):
+    ctx = build_field(31, 1)
+    k = jacobi_K(ctx, 5)
+    monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: k + CycInt.zeta_power(5, 3))
+    with pytest.raises(ArithmeticError):
+        criterion(ctx, 5)
+
+
+def test_criterion_matches_element_path_on_every_row_to_3000():
+    rows = 0
+    for q, p, m in _odd_prime_powers_upto(3000):
+        ctx = build_field(p, m)
+        for k in divisors(q - 1):
+            if k % 2 and k >= 3:
+                assert criterion(ctx, k) == criterion_by_elements(ctx, k), (q, k)
+                rows += 1
+    assert rows == 1664
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (31, 1), (3, 4), (11, 2)])

@@ -6,11 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ONE,
+    X,
     _berlekamp_factors,
+    all_ones_poly,
     berlekamp_factor,
+    berlekamp_massey,
     coset_minimal_polys,
     cyclotomic_cosets,
+    gcd_by_divmod,
+    is_irreducible,
+    lfsr_regenerate,
+    linear_complexity,
     minimal_polys_of_order,
+    recombine,
     smallest_irreducible,
 )
 from slce.cli import _odd_prime_powers_upto
@@ -22,20 +31,13 @@ from slce.gf2poly import (
     _mod_int,
     _mul_int,
     _sqr_int,
-    ONE,
-    X,
     Gf2Poly,
-    all_ones_poly,
-    berlekamp_massey,
     factor,
     factor_squarefree,
     factored_str,
     fold,
     gcd,
-    lfsr_regenerate,
-    linear_complexity,
     poly_from_seq,
-    recombine,
     x_pow_plus_one,
 )
 from slce.sequences import generate
@@ -53,6 +55,14 @@ def test_poly_basics():
     assert (f + f).is_zero()
     q, r = divmod(f, X)
     assert q * X + r == f
+
+
+@given(bits=st.one_of(polys.map(lambda f: f.bits), st.integers(min_value=1, max_value=(1 << 3000) - 1)))
+@settings(max_examples=200, deadline=None)
+def test_str_lists_the_set_bits_in_descending_order(bits):
+    f = Gf2Poly(bits)
+    terms = ("1" if i == 0 else "x" if i == 1 else f"x^{i}" for i in range(f.degree, -1, -1) if f.coeff(i))
+    assert str(f) == "+".join(terms)
 
 
 def test_poly_from_seq():
@@ -106,7 +116,7 @@ def binomial_gcd_cases(draw):
     s = draw(st.integers(min_value=0, max_value=(1 << deg) - 1)) | (1 << deg)
     if kind == "shared":  # force repeated factors of x^v + 1 into s
         w = v >> e
-        f = _gcd_int((1 << w) | 1, draw(st.integers(min_value=1, max_value=(1 << w) - 1)))
+        f = gcd_by_divmod((1 << w) | 1, draw(st.integers(min_value=1, max_value=(1 << w) - 1)))
         for _ in range(draw(st.integers(min_value=1, max_value=(1 << e) + 2))):
             s = _mul_int(s, f)
     return v, s
@@ -116,7 +126,7 @@ def binomial_gcd_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_gcd_with_binomial_matches_euclid(case):
     v, s = case
-    want = _gcd_int((1 << v) | 1, s)
+    want = gcd_by_divmod((1 << v) | 1, s)
     assert gcd(x_pow_plus_one(v), Gf2Poly(s)).bits == want
     assert gcd(Gf2Poly(s), x_pow_plus_one(v)).bits == want
 
@@ -126,7 +136,24 @@ def test_gcd_with_binomial_matches_euclid_on_every_field_to_3000():
     assert len(fields) == 455
     for q, p, m in fields:
         s2 = poly_from_seq(generate(build_field(p, m)))
-        assert gcd(x_pow_plus_one(q - 1), s2).bits == _gcd_int((1 << (q - 1)) | 1, s2.bits), q
+        assert gcd(x_pow_plus_one(q - 1), s2).bits == gcd_by_divmod((1 << (q - 1)) | 1, s2.bits), q
+
+
+@given(
+    da=st.integers(min_value=0, max_value=1500),
+    db=st.integers(min_value=0, max_value=1500),
+    common=st.integers(min_value=1, max_value=(1 << 300) - 1),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_euclid_matches_divmod_euclid(da, db, common, data):
+    # degree gaps on both sides of the window, with and without a shared factor
+    a = data.draw(st.integers(min_value=0, max_value=(1 << da) - 1)) | (1 << da)
+    b = data.draw(st.integers(min_value=0, max_value=(1 << db) - 1)) | (1 << db)
+    if data.draw(st.booleans()):
+        a, b = _mul_int(a, common), _mul_int(b, common)
+    assert _gcd_int(a, b) == gcd_by_divmod(a, b)
+    assert _gcd_int(b, a) == gcd_by_divmod(b, a)
 
 
 @given(k=st.sampled_from([3, 5, 7, 9, 15, 21, 23, 31, 45, 63]), data=st.data())
@@ -211,7 +238,7 @@ def test_factor_recombines_and_is_irreducible(bits):
     fac = berlekamp_factor(f)
     assert recombine(fac) == f
     for g, e in fac:
-        assert g.is_irreducible()
+        assert is_irreducible(g)
         assert e >= 1
     assert fac == sorted(fac, key=lambda item: (item[0].degree, item[0].bits))
 
@@ -227,7 +254,7 @@ def test_factor_squarefree_matches_berlekamp_oracle():
     f = Gf2Poly.from_coeffs(cyclotomic_poly(2047))
     got = factor_squarefree(f, 2047)
     assert len(got) == 176
-    assert all(g.degree == 11 and g.is_irreducible() for g in got)
+    assert all(g.degree == 11 and is_irreducible(g) for g in got)
     assert [g.bits for g in got] == sorted({g.bits for g in got})
     assert recombine([(g, 1) for g in got]) == f
 
@@ -238,7 +265,7 @@ def test_factor_squarefree_structured_case():
     f = Gf2Poly(0x145114514F)
     parts = factor_squarefree(f, 262143)
     assert len(parts) == 2
-    assert all(g.degree == 18 and g.is_irreducible() for g in parts)
+    assert all(g.degree == 18 and is_irreducible(g) for g in parts)
     assert parts[0] * parts[1] == f
 
 
@@ -263,7 +290,7 @@ def test_minimal_polys_fixtures():
 def test_coset_minimal_poly_product(k):
     prod = ONE
     for orbit, g in coset_minimal_polys(k):
-        assert g.is_irreducible()
+        assert is_irreducible(g)
         assert g.degree == len(orbit)
         prod = prod * g
     assert prod == all_ones_poly(k)
@@ -330,4 +357,4 @@ def test_smallest_irreducible():
     assert str(smallest_irreducible(2)) == "x^2+x+1"
     assert str(smallest_irreducible(3)) == "x^3+x+1"
     got = smallest_irreducible(11)
-    assert got.degree == 11 and got.is_irreducible()
+    assert got.degree == 11 and is_irreducible(got)
