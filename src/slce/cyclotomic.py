@@ -18,8 +18,8 @@ O(2^omega(k)) array operations of length O(k), exact, in O(k) memory.  It
 works in int64 when an a priori bound allows and in Python integers
 otherwise.
 The criterion packs the parity of (K + 1)/2 into a GF(2) polynomial in
-one numpy pass and reduces it modulo each ideal's g, after one gcd with
-x^k + 1 when Phi_k mod 2 has more than two factors.
+one numpy pass, takes its gcd with x^k + 1 and reduces that modulo each
+ideal's g.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldCtx, euler_phi, prime_factors
-from .gf2poly import Gf2Poly, _gcd_int, factor_squarefree
+from .gf2poly import Gf2Poly, factor_squarefree, gcd, x_pow_plus_one
 
 
 def _mobius_factors(k: int) -> list[tuple[int, int]]:
@@ -101,8 +101,7 @@ def _psi_plan(k: int) -> tuple[int, tuple, tuple]:
 
 def _l1(vec: np.ndarray) -> int:
     a = np.abs(vec)
-    top = int(a.max())
-    if 0 <= top and top * len(a) < 2**63:  # abs(-2^63) wraps negative
+    if a.min() >= 0 and int(a.max()) * len(a) < 2**63:  # abs(-2^63) wraps negative
         return int(a.sum())
     return sum(abs(c) for c in vec.tolist())
 
@@ -303,10 +302,6 @@ def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     w[0] += 1
     if (w & 1).any():
         raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")
-    u = Gf2Poly.from_coeffs((w >> 1) & 1)
-    ideals = ideal_factors(k)
-    if len(ideals) > 2:
-        # each g divides x^k + 1: one Euclid of length ~k replaces one
-        # division of length ~phi(k) per ideal
-        u = Gf2Poly(_gcd_int(u.bits, (1 << k) | 1))
-    return tuple((u % ideal.g).is_zero() for ideal in ideals)
+    # each g divides x^k + 1, so g | u exactly when g | gcd(u, x^k + 1)
+    u = gcd(Gf2Poly.from_coeffs((w >> 1) & 1), x_pow_plus_one(k))
+    return tuple((u % ideal.g).is_zero() for ideal in ideal_factors(k))

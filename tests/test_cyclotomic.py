@@ -22,6 +22,7 @@ from slce import cyclotomic
 from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import (
     CycInt,
+    _l1,
     _reduce,
     check_eq3,
     criterion,
@@ -125,6 +126,10 @@ def test_reduce_falls_back_to_python_ints():
         vec[j] = 2**62
         scaled = CycInt.from_exponent_counts(k, vec).coeffs
         assert scaled == tuple(2**62 * c for c in CycInt.zeta_power(k, j).coeffs), j
+    # abs(-2^63) wraps to -2^63 in int64; the L1 bound must not
+    wrapped = np.array([-(2**63), 1, 0], dtype=np.int64)
+    assert _l1(wrapped) == 2**63 + 1
+    assert _reduce(3, wrapped) == (-(2**63), 1)
 
 
 def test_reduction_memory_is_linear_in_k():
@@ -317,6 +322,21 @@ def test_criterion_raises_on_odd_coordinate_beyond_the_first(monkeypatch):
     monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: k + CycInt.zeta_power(5, 3))
     with pytest.raises(ArithmeticError):
         criterion(ctx, 5)
+
+
+@pytest.mark.parametrize("p,m,k", [(31, 1, 5), (3, 6, 7), (3, 4, 5)])
+def test_criterion_on_coordinates_beyond_int64(monkeypatch, p, m, k):
+    # K + 2^64 zeta^j has the same (K + 1)/2 mod 2 but no longer fits int64
+    ctx = build_field(p, m)
+    K = jacobi_K(ctx, k)
+    expected = criterion(ctx, k)
+    big = CycInt(k, tuple(2**64 if j == 1 else 0 for j in range(len(K.coeffs))))
+    monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: K + big)
+    assert criterion(ctx, k) == expected == criterion_by_elements(ctx, k)
+    odd = CycInt(k, tuple(2**64 + 1 if j == 2 else 0 for j in range(len(K.coeffs))))
+    monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: K + odd)
+    with pytest.raises(ArithmeticError):
+        criterion(ctx, k)
 
 
 def test_criterion_matches_element_path_on_every_row_to_3000():
