@@ -25,10 +25,11 @@ import time
 
 from . import cyclotomic, gf2poly, sequences
 from .predict import NoClosedForm, predict as run_predict
-from .fields import build_field, divisors, is_prime
+from .fields import build_field, divisors, field_order, is_prime
 
 DIRECT_VERIFY_BOUND = 20_000
 FIELD_SIZE_BOUND = 2_000_000
+_TRIAL_DIVISION_BOUND = 1 << 20  # all-k rows need q - 1 factored; past this, -k is required
 
 
 def _odd_prime_powers_upto(q_max: int) -> list[tuple[int, int, int]]:
@@ -45,37 +46,36 @@ def _odd_prime_powers_upto(q_max: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def _field_block(p: int, m: int, direct: bool) -> dict:
-    if direct:
-        ctx = build_field(p, m, max_q=FIELD_SIZE_BOUND)
-        return {"ctx": ctx, "echo": ctx.describe()}
-    return {
-        "ctx": None,
-        "echo": {"p": p, "m": m, "q": p**m, "modulus": None, "alpha": None},
-    }
-
-
 def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     """Assemble the verification block for one field (the report core)."""
-    q = p**m
     t_start = time.perf_counter()
-    field = _field_block(p, m, direct)
-    ctx = field["ctx"]
-    block: dict = {"field": field["echo"], "rows": []}
+    if direct:
+        ctx = build_field(p, m, max_q=FIELD_SIZE_BOUND)
+        q = ctx.q
+        block: dict = {"field": ctx.describe(), "rows": []}
+    else:
+        q = p**m  # the callers have checked p and m
+        block = {"field": {"p": p, "m": m, "q": q, "modulus": None, "alpha": None}, "rows": []}
     timings = {"field_build_s": time.perf_counter() - t_start}
 
-    s2 = None
     if direct:
         t0 = time.perf_counter()
         seq = sequences.generate(ctx)
-        s2 = gf2poly.poly_from_seq(seq)
-        g = gf2poly.gcd(gf2poly.x_pow_plus_one(seq.v), s2)
-        block["gcd_factored"] = gf2poly.factored_str(gf2poly.factor(g, seq.v)) if g.degree >= 1 else "1"
-        block["linear_complexity"] = seq.v - g.degree
+        common = gf2poly.gcd(gf2poly.x_pow_plus_one(seq.v), gf2poly.poly_from_seq(seq))
+        common_factors = gf2poly.factor(common, seq.v) if common.degree >= 1 else []
+        block["gcd_factored"] = gf2poly.factored_str(common_factors)
+        block["linear_complexity"] = seq.v - common.degree
+        # each g of a row divides x^k + 1 | x^v + 1: g | S2 iff g is an irreducible factor of the gcd
+        gcd_irreducibles = {h for h, _ in common_factors}
         timings["sequence_and_gcd_s"] = time.perf_counter() - t0
 
     if ks is None:
-        ks = [d for d in divisors(q - 1) if d % 2 and d >= 3]
+        try:
+            ks = [d for d in divisors(q - 1, bound=_TRIAL_DIVISION_BOUND) if d % 2 and d >= 3]
+        except ValueError:
+            raise ValueError(
+                f"q - 1 = {p}^{m} - 1 is not factored by trial division to 2^20; pass -k to verify a single k"
+            ) from None
     mismatches = 0
     indeterminate = 0
     t0 = time.perf_counter()
@@ -83,17 +83,13 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
         if k < 3 or k % 2 == 0 or (q - 1) % k != 0:
             raise ValueError(f"k = {k} is not an odd divisor >= 3 of q - 1 = {q - 1}")
         row: dict = {"q": q, "k": k}
-        direct_all = None
         if direct:
             ideals = cyclotomic.ideal_factors(k)
-            row["f"] = ideals[0].f
-            s2_k = gf2poly.fold(s2, k)  # each g divides x^k + 1
+            row["f"] = ideals[0].degree
             factors = []
-            for ideal, crit in zip(ideals, cyclotomic.criterion(ctx, k)):
-                div = ideal.g.divides(s2_k)
-                factors.append(
-                    {"g": str(ideal.g), "criterion": crit, "direct": div, "match": crit == div}
-                )
+            for g, crit in zip(ideals, cyclotomic.criterion(ctx, k)):
+                div = g in gcd_irreducibles
+                factors.append({"g": str(g), "criterion": crit, "direct": div, "match": crit == div})
                 if crit != div:
                     mismatches += 1
             row["factors"] = factors
@@ -193,14 +189,16 @@ def _csv_rows(block: dict) -> list[str]:
     return lines
 
 
+def _reported(block: dict, timings: bool) -> dict:
+    """The block as printed: its `_timings` entry renamed `timings`, or dropped."""
+    return {("timings" if k == "_timings" else k): v for k, v in block.items() if timings or k != "_timings"}
+
+
 def _emit(block: dict, args, out) -> None:
-    if not getattr(args, "timings", False):
-        block = {k: v for k, v in block.items() if k != "_timings"}
-    else:
-        block["timings"] = block.pop("_timings")
+    block = _reported(block, args.timings)
     if args.json:
         print(json.dumps(block, indent=2), file=out)
-    elif getattr(args, "csv", False):
+    elif args.csv:
         print(_CSV_HEADER, file=out)
         for line in _csv_rows(block):
             print(line, file=out)
@@ -267,7 +265,7 @@ def cmd_predict(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    q = args.p**args.m
+    q = field_order(args.p, args.m)
     direct = q <= args.q_max
     if not direct and not args.predict_only:
         print(
@@ -301,13 +299,9 @@ def cmd_grid(args, out) -> int:
         block = _verify_rows(p, m, None, direct)
         mismatches += block["summary"]["mismatches"]
         blocks.append(block)
-    if args.timings:
-        fields = [{("timings" if k == "_timings" else k): v for k, v in b.items()} for b in blocks]
-    else:
-        fields = [{k: v for k, v in b.items() if k != "_timings"} for b in blocks]
     report = {
         "q_max": args.q_max,
-        "fields": fields,
+        "fields": [_reported(b, args.timings) for b in blocks],
         "summary": {"fields": len(blocks), "mismatches": mismatches},
     }
     if args.json:

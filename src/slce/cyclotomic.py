@@ -5,9 +5,10 @@ zeta^(phi(k)-1) modulo the k-th cyclotomic polynomial (an integral basis,
 so "divisible by 2" means "all coordinates even").  The module computes
 the Jacobi sums J(chi, chi) and J(chi, rho) for the canonical character
 chi(alpha) = zeta_k, the normalized sum K = chi(4) J(chi, chi), reduction
-modulo the prime ideals above 2, and the divisibility test: the minimal
-polynomial attached to an ideal factor divides the sequence polynomial
-exactly when (K + 1)/2 reduces to zero modulo that ideal.
+modulo the prime ideals above 2, and the divisibility test.  Each prime
+ideal above 2 is (2, g(zeta_k)) for an irreducible factor g of Phi_k mod
+2, and the package names it by g alone: g divides the sequence polynomial
+exactly when (K + 1)/2 lies in (2, g(zeta_k)).
 
 Phi_k is built as the Moebius product of the x^d - 1 over d | k, and every
 element enters the power basis through one routine, `_reduce`: with
@@ -72,7 +73,7 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
     return tuple(_times_mobius(np.ones(1, dtype=np.int64), _mobius_factors(k)).tolist())
 
 
-def _fold(a: np.ndarray, k: int) -> np.ndarray:
+def _fold_sum(a: np.ndarray, k: int) -> np.ndarray:
     """a mod (x^k - 1): the sum of a's length-k slices."""
     if len(a) == k:
         return a
@@ -121,7 +122,7 @@ def _reduce(k: int, vec) -> tuple[int, ...]:
         vec = np.array([int(c) for c in vec], dtype=object)
     growth, psi, inverse = _psi_plan(k)
     dtype = np.int64 if _l1(vec) * growth < 2**63 else object
-    times_psi = _fold(_times_mobius(_fold(vec.astype(dtype, copy=False), k), psi), k)
+    times_psi = _fold_sum(_times_mobius(_fold_sum(vec.astype(dtype, copy=False), k), psi), k)
     return tuple(_times_mobius(times_psi, inverse).tolist())
 
 
@@ -266,35 +267,25 @@ def check_eq3(kval: CycInt, q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealFactor:
-    """A prime ideal above 2 in Z[zeta_k]: (2, g(zeta_k)) for g | Phi_k mod 2.
-
-    The residue field is GF(2)[x]/(g) of order 2^f, f = ord_k(2); the class
-    of zeta_k maps to x, an element of order k whose minimal polynomial is g.
-    """
-
-    k: int
-    g: Gf2Poly
-    f: int
-
-
 @lru_cache(maxsize=None)
-def ideal_factors(k: int) -> tuple[IdealFactor, ...]:
-    """The prime ideals above 2, one per irreducible factor of Phi_k mod 2."""
+def ideal_factors(k: int) -> tuple[Gf2Poly, ...]:
+    """The prime ideals above 2, each (2, g(zeta_k)) given by its g, sorted by bit pattern.
+
+    The g are the irreducible factors of Phi_k mod 2.  The residue field of
+    (2, g(zeta_k)) is GF(2)[x]/(g), of order 2^f with f = deg g = ord_k(2);
+    zeta_k maps to x, an element of order k whose minimal polynomial is g.
+    """
     _require_odd_k(k)
-    gs = factor_squarefree(Gf2Poly.from_coeffs(cyclotomic_poly(k)), k)
-    return tuple(IdealFactor(k=k, g=g, f=g.degree) for g in gs)
+    return tuple(factor_squarefree(Gf2Poly.from_coeffs(cyclotomic_poly(k)), k))
 
 
 def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
-    """For each ideal of ideal_factors(k), in order: True iff (K + 1)/2 lies in it.
+    """For each g of ideal_factors(k), in order: True iff (K + 1)/2 lies in (2, g(zeta_k)).
 
-    Equivalent to: the minimal polynomial g attached to the ideal divides
-    the sequence polynomial of the SLCE sequence for ctx.  Since k is odd,
-    chi(-1) = 1 and no sign adjustment is needed.  The ideal (2, g(zeta))
-    contains (K + 1)/2 exactly when g divides its coordinates mod 2, read
-    as a polynomial in zeta over GF(2).
+    Equivalent to: g divides the sequence polynomial of the SLCE sequence
+    for ctx.  Since k is odd, chi(-1) = 1 and no sign adjustment is needed.
+    The ideal (2, g(zeta)) contains (K + 1)/2 exactly when g divides its
+    coordinates mod 2, read as a polynomial in zeta over GF(2).
     """
     coeffs = jacobi_K(ctx, k).coeffs
     fits = -(2**62) < min(coeffs) and max(coeffs) < 2**62  # with room for the + 1
@@ -304,4 +295,4 @@ def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
         raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")
     # each g divides x^k + 1, so g | u exactly when g | gcd(u, x^k + 1)
     u = gcd(Gf2Poly.from_coeffs((w >> 1) & 1), x_pow_plus_one(k))
-    return tuple((u % ideal.g).is_zero() for ideal in ideal_factors(k))
+    return tuple((u % g).is_zero() for g in ideal_factors(k))

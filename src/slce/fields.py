@@ -23,27 +23,53 @@ DEFAULT_MAX_Q = 2_000_000
 _BLOCK = 4096  # columns per giant step; a power of two (see _build_tables)
 
 
+# (base, least odd composite that passes Miller-Rabin to it and every base before it): OEIS A014233
+_MR_STEPS = tuple(zip((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41), (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 341550071728321,
+    3825123056546413051, 3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)))
+_MR_BOUND = _MR_STEPS[-1][1]
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale inputs."""
+    """Miller-Rabin to as many of the first 13 prime bases as n needs; exact below _MR_BOUND, else ValueError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    for a, _ in _MR_STEPS:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is not below the primality-test bound {_MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a, pseudoprime in _MR_STEPS:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < pseudoprime:
+            break
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Sorted list of the distinct prime factors of n >= 1."""
+def prime_factors(n: int, bound: int | None = None) -> list[int]:
+    """Sorted list of the distinct prime factors of n >= 1, by trial division.
+
+    With a bound, trial division stops at the first divisor d above it: a
+    cofactor of at least d^2 left then raises ValueError, and a smaller one
+    is prime, so a returned list is always exact.
+    """
     out = []
     d = 2
     while d * d <= n:
+        if bound is not None and d > bound:
+            raise ValueError(f"trial division to {bound} leaves a cofactor of {n.bit_length()} bits")
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -54,10 +80,10 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted list of the divisors of n >= 1."""
+def divisors(n: int, bound: int | None = None) -> list[int]:
+    """Sorted list of the divisors of n >= 1; bound as for prime_factors."""
     out = [1]
-    for r in prime_factors(n):
+    for r in prime_factors(n, bound):
         powers = [1]
         while n % (powers[-1] * r) == 0:
             powers.append(powers[-1] * r)
@@ -206,6 +232,17 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable
 
 
+def field_order(p: int, m: int) -> int:
+    """q = p^m after checking that p is an odd prime and m a positive integer."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if p == 2:
+        raise ValueError("p must be an odd prime")
+    if m < 1:
+        raise ValueError(f"m = {m} must be a positive integer")
+    return p**m
+
+
 @dataclass(frozen=True)
 class FieldElt:
     """Field element as coordinates in the power basis of the modulus."""
@@ -227,13 +264,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, m: int, max_q: int = DEFAULT_MAX_Q):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if p == 2:
-            raise ValueError("p must be an odd prime")
-        if m < 1:
-            raise ValueError(f"m = {m} must be a positive integer")
-        q = p**m
+        q = field_order(p, m)
         if q > max_q:
             raise ValueError(f"q = p^m = {q} exceeds the size bound {max_q}")
         self.p = p

@@ -115,20 +115,16 @@ def _gcd_int(a: int, b: int) -> int:
     return a
 
 
-def fold(a: Gf2Poly, w: int) -> Gf2Poly:
-    """a mod (x^w + 1): the xor of a's w-bit slices, halving a per round.
-
-    For any g | x^w + 1, g divides a exactly when it divides fold(a, w).
-    """
-    bits = a.bits
-    n = bits.bit_length()
+def _fold(a: int, w: int) -> int:
+    """a mod (x^w + 1): the xor of a's w-bit slices, halving a per round."""
+    n = a.bit_length()
     while n > w:
         half = w
         while 2 * half < n:
             half *= 2
-        bits = (bits & ((1 << half) - 1)) ^ (bits >> half)  # x^half = 1 mod x^w + 1
-        n = bits.bit_length()
-    return Gf2Poly(bits)
+        a = (a & ((1 << half) - 1)) ^ (a >> half)  # x^half = 1 mod x^w + 1
+        n = a.bit_length()
+    return a
 
 
 def _gcd_binomial(v: int, s: int) -> int:
@@ -141,7 +137,7 @@ def _gcd_binomial(v: int, s: int) -> int:
     """
     e = (v & -v).bit_length() - 1
     w = v >> e
-    g1 = _gcd_int((1 << w) | 1, fold(Gf2Poly(s), w).bits)
+    g1 = _gcd_int((1 << w) | 1, _fold(s, w))
     if e == 0 or g1 == 1:
         return g1
     for _ in range(e):
@@ -172,9 +168,6 @@ class Gf2Poly:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def coeff(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Gf2Poly):
             return self.bits == other.bits
@@ -193,15 +186,8 @@ class Gf2Poly:
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
         return Gf2Poly(_mul_int(self.bits, other.bits))
 
-    def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
-        q, r = _divmod_int(self.bits, other.bits)
-        return Gf2Poly(q), Gf2Poly(r)
-
     def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
         return Gf2Poly(_mod_int(self.bits, other.bits))
-
-    def divides(self, other: "Gf2Poly") -> bool:
-        return _mod_int(other.bits, self.bits) == 0
 
     def __str__(self) -> str:
         if self.bits == 0:

@@ -340,11 +340,8 @@ def predict_index2(p: int, m: int, ell: int, r: int) -> Prediction:
     of an order-k element.  When b = 0 mod 4 the branches always agree.
     """
     params = index2_params(p, m, ell, r)
-    branch = {}
-    for b in (params.b_abs, -params.b_abs):
-        value = _index2_condition_value(params, b)
-        branch[b] = value % 4 == 3
-    values = {b: _index2_condition_value(params, b) for b in branch}
+    values = {b: _index2_condition_value(params, b) for b in (params.b_abs, -params.b_abs)}
+    branch = {b: value % 4 == 3 for b, value in values.items()}
     agree = branch[params.b_abs] == branch[-params.b_abs]
     target = _all_ones_name(params.k) if r == 1 else f"each minimal polynomial of an element of order {params.k}"
     trace = (

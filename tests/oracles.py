@@ -12,7 +12,9 @@ squarefree part.  It is the oracle of `slce.gf2poly.factor` and
 splitting with the cyclotomic-coset idempotents.
 
 `gcd_by_divmod` is textbook Euclid on `_divmod_int` alone, the oracle of
-`_gcd_int` and of the gcd with x^v + 1.  `linear_complexity` and
+`_gcd_int` and of the gcd with x^v + 1.  `divides` tests g | s by one
+remainder against the whole of s; the CLI reads the same answer off the
+factors of gcd(x^v + 1, s).  `linear_complexity` and
 Berlekamp-Massey give the linear complexity two ways, from the gcd and
 from the shortest register.
 
@@ -32,7 +34,7 @@ from math import gcd as intgcd
 import numpy as np
 
 from slce import cyclotomic
-from slce.cyclotomic import CycInt, IdealFactor, cyclotomic_poly
+from slce.cyclotomic import CycInt, cyclotomic_poly
 from slce.fields import FieldCtx, FieldElt, divisors, multiplicative_order, prime_factors
 from slce.gf2poly import Gf2Poly, _divmod_int, _gcd_int, _mod_int, _mul_int, _sqr_int, gcd, poly_from_seq
 
@@ -43,6 +45,11 @@ ONE = Gf2Poly(1)
 # ---------------------------------------------------------------------------
 # GF(2)[x]: Euclid, irreducibility, products, linear complexity.
 # ---------------------------------------------------------------------------
+
+
+def divides(g: Gf2Poly, s: Gf2Poly) -> bool:
+    """g | s, by one remainder of s against all of g."""
+    return (s % g).is_zero()
 
 
 def gcd_by_divmod(a: int, b: int) -> int:
@@ -127,7 +134,7 @@ def lfsr_regenerate(connection: Gf2Poly, big_l: int, seed: list[int], count: int
     for n in range(len(out), count):
         acc = 0
         for i in range(1, big_l + 1):
-            acc ^= connection.coeff(i) & out[n - i]
+            acc ^= (connection.bits >> i) & out[n - i]
         out.append(acc)
     return out[:count]
 
@@ -175,17 +182,17 @@ def parity(a: CycInt) -> Gf2Poly:
     return Gf2Poly(int("".join("1" if c & 1 else "0" for c in reversed(a.coeffs)), 2))
 
 
-def reduce_mod_ideal(a: CycInt, ideal: IdealFactor) -> Gf2Poly:
-    """Residue of a in GF(2)[x]/(g): coordinates mod 2, then zeta -> x mod g."""
-    if a.k != ideal.k:
-        raise ValueError(f"mismatched cyclotomic orders {a.k} and {ideal.k}")
-    return parity(a) % ideal.g
+def reduce_mod_ideal(a: CycInt, g: Gf2Poly) -> Gf2Poly:
+    """Residue of a modulo the ideal (2, g(zeta_k)): coordinates mod 2, then zeta -> x mod g."""
+    if g not in cyclotomic.ideal_factors(a.k):
+        raise ValueError(f"{g} is not an irreducible factor of Phi_{a.k} mod 2")
+    return parity(a) % g
 
 
 def criterion_by_elements(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     """`criterion` through CycInt: (K + 1)/2 reduced modulo each ideal in turn."""
     u = half_K_plus_one(ctx, k)
-    return tuple(reduce_mod_ideal(u, ideal).is_zero() for ideal in cyclotomic.ideal_factors(k))
+    return tuple(reduce_mod_ideal(u, g).is_zero() for g in cyclotomic.ideal_factors(k))
 
 # ---------------------------------------------------------------------------
 # Cyclotomic cosets and minimal polynomials of roots of unity over GF(2).

@@ -4,7 +4,10 @@ import time
 
 import pytest
 
-from slce.cli import main
+from conftest import field_bundle
+from oracles import divides
+from slce.cli import _odd_prime_powers_upto, _verify_rows, main
+from slce.cyclotomic import ideal_factors
 
 
 def run(argv):
@@ -181,6 +184,45 @@ def test_verify_bound_and_predict_only(capsys):
     assert blob["rows"][0]["prediction"]["divides"] is True
 
 
+@pytest.mark.parametrize(
+    "pm,message",
+    [
+        (["-p", "2", "-m", "20"], "error: p must be an odd prime\n"),
+        (["-p", "1000001", "-m", "2"], "error: p = 1000001 is not prime\n"),
+        (["-p", "3", "-m", "-1", "--q-max", "0"], "error: m = -1 must be a positive integer\n"),
+    ],
+)
+def test_verify_predict_only_checks_p_and_m(capsys, pm, message):
+    rc, out = run(["verify", *pm, "--predict-only"])
+    assert (rc, out, capsys.readouterr().err) == (2, "", message)
+    rc, _ = run(["verify", *pm, "--q-max", str(10**12)])  # a direct run says the same
+    assert (rc, capsys.readouterr().err) == (2, message)
+
+
+def test_verify_predict_only_checks_a_large_p_quickly():
+    t0 = time.perf_counter()
+    rc, out = run(["verify", "-p", str(2**61 - 1), "-m", "1", "-k", "3", "--predict-only", "--json"])
+    assert time.perf_counter() - t0 < 2.0
+    assert rc == 0 and json.loads(out)["field"]["q"] == 2**61 - 1
+
+
+@pytest.mark.parametrize("p,m", [(3, 97), (5, 61)])
+def test_verify_all_k_refuses_an_unfactored_q_minus_1(capsys, p, m):
+    # trial division of q - 1 stops at 2^20 and leaves a cofactor that may be composite
+    t0 = time.perf_counter()
+    rc, out = run(["verify", "-p", str(p), "-m", str(m), "--predict-only"])
+    assert time.perf_counter() - t0 < 2.0
+    assert (rc, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: q - 1 = {p}^{m} - 1 is not factored") and "-k" in err
+
+
+def test_verify_all_k_predict_only_factors_q_minus_1_exactly():
+    rc, out = run(["verify", "-p", "3", "-m", "40", "--predict-only", "--json"])
+    assert rc == 0
+    assert json.loads(out)["summary"]["rows"] == 143
+
+
 def test_verify_invalid_k(capsys):
     rc, _ = run(["verify", "-p", "5", "-m", "2", "-k", "5"])
     assert rc == 2
@@ -196,6 +238,30 @@ def test_grid_small_and_deterministic():
     qs = [b["field"]["q"] for b in blob["fields"]]
     assert qs == sorted(qs)
     assert 81 in qs and 49 in qs
+
+
+def test_grid_timings_per_field():
+    rc, out = run(["grid", "--q-max", "30", "--json", "--timings"])
+    assert rc == 0
+    fields = json.loads(out)["fields"]
+    assert [b["field"]["q"] for b in fields] == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
+    for block in fields:
+        assert "_timings" not in block
+        assert set(block["timings"]) == {"field_build_s", "sequence_and_gcd_s", "rows_s"}
+
+
+def test_direct_column_matches_division_oracle_to_3000():
+    # the report reads g | S2 off the factors of gcd(x^v + 1, S2); the oracle divides S2 by g
+    trivial = 0
+    for q, p, m in _odd_prime_powers_upto(3000):
+        block = _verify_rows(p, m, None, True)
+        s2 = field_bundle(p, m)[2]
+        trivial += block["gcd_factored"] == "1"
+        for row in block["rows"]:
+            gs = ideal_factors(row["k"])
+            assert [f["g"] for f in row["factors"]] == [str(g) for g in gs]
+            assert [f["direct"] for f in row["factors"]] == [divides(g, s2) for g in gs], (q, row["k"])
+    assert trivial == 213  # gcd 1: every direct verdict comes from the empty set of factors
 
 
 def test_grid_text_mode():

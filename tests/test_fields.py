@@ -191,6 +191,21 @@ def test_describe_echo_is_deterministic():
     assert set(a) == {"p", "m", "q", "modulus", "alpha"}
 
 
+def test_is_prime_matches_trial_division_and_known_pseudoprimes():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 30000) if is_prime(n)] == [n for n in range(-3, 30000) if by_trial_division(n)]
+    # OEIS A014233: the least odd composites that pass Miller-Rabin to the first 1, 2, ..., 12 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and not is_prime(2**67 - 1)
+    assert not is_prime(2**89 + 1)  # above the bound, but divisible by 3
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+
+
 def test_number_helpers():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert prime_factors(360) == [2, 3, 5]
@@ -217,3 +232,22 @@ def test_multiplicative_order_matches_powering_loop():
 def test_divisors_match_scan():
     for n in range(1, 2000):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_bounded_prime_factors_are_exact_or_refused():
+    refused = 0
+    for bound in (1, 2, 3, 10, 30):
+        for n in range(1, 5000):
+            cofactor = n
+            for r in range(2, bound + 1):
+                while cofactor % r == 0:
+                    cofactor //= r
+            try:
+                got = prime_factors(n, bound)
+            except ValueError:
+                refused += 1
+                assert cofactor > bound * bound, (n, bound)  # the bound was really reached
+                continue
+            assert got == prime_factors(n), (n, bound)
+            assert divisors(n, bound) == divisors(n), (n, bound)
+    assert refused > 1000
