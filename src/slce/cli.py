@@ -28,8 +28,6 @@ from .predict import NoClosedForm, predict as run_predict
 from .fields import build_field, divisors, field_order, is_prime
 
 DIRECT_VERIFY_BOUND = 20_000
-FIELD_SIZE_BOUND = 2_000_000
-_TRIAL_DIVISION_BOUND = 1 << 20  # all-k rows need q - 1 factored; past this, -k is required
 
 
 def _odd_prime_powers_upto(q_max: int) -> list[tuple[int, int, int]]:
@@ -50,7 +48,7 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     """Assemble the verification block for one field (the report core)."""
     t_start = time.perf_counter()
     if direct:
-        ctx = build_field(p, m, max_q=FIELD_SIZE_BOUND)
+        ctx = build_field(p, m)
         q = ctx.q
         block: dict = {"field": ctx.describe(), "rows": []}
     else:
@@ -71,7 +69,7 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
 
     if ks is None:
         try:
-            ks = [d for d in divisors(q - 1, bound=_TRIAL_DIVISION_BOUND) if d % 2 and d >= 3]
+            ks = [d for d in divisors(q - 1) if d % 2 and d >= 3]
         except ValueError:
             raise ValueError(
                 f"q - 1 = {p}^{m} - 1 is not factored by trial division to 2^20; pass -k to verify a single k"
@@ -207,7 +205,7 @@ def _emit(block: dict, args, out) -> None:
 
 
 def cmd_seq(args, out) -> int:
-    ctx = build_field(args.p, args.m, max_q=FIELD_SIZE_BOUND)
+    ctx = build_field(args.p, args.m)
     seq = sequences.generate(ctx)
     if args.autocorr:
         text = sequences.autocorrelation_csv(seq)
@@ -238,7 +236,7 @@ def cmd_gcd(args, out) -> int:
 
 
 def cmd_jacobi(args, out) -> int:
-    ctx = build_field(args.p, args.m, max_q=FIELD_SIZE_BOUND)
+    ctx = build_field(args.p, args.m)
     kval = cyclotomic.jacobi_K(ctx, args.k)
     report = dict(ctx.describe())
     report.update(kval.to_json())

@@ -6,21 +6,28 @@ constant term first) and the generator is the lexicographically smallest
 primitive element under the same ordering.  Every report downstream echoes
 both, so results are reproducible bit for bit.
 
-The full tables (alpha^t by exponent, discrete log by element, the log of
-1 - alpha^t, and the trace of alpha^t) turn character sums and sequence
-constructions into O(q) array lookups.  Intended scale is q up to a few
-million; memory is four int32 arrays of length q.
+All arithmetic goes through the companion matrix C of the modulus f, the
+matrix of multiplication by x on GF(p)[x]/(f): an element g is the matrix
+g(C), whose column i holds the coordinates of g * x^i.  The full tables
+(alpha^t by exponent, discrete log by element, and the log of 1 - alpha^t)
+turn character sums and sequence constructions into O(q) array lookups.
+Intended scale is q up to FIELD_SIZE_BOUND; memory is three int64 arrays
+of length about q.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 
-DEFAULT_MAX_Q = 2_000_000
+FIELD_SIZE_BOUND = 2_000_000
+_TRIAL_DIVISION_BOUND = 1 << 20  # prime_factors refuses a cofactor with no prime factor up to this
 
 _BLOCK = 4096  # columns per giant step; a power of two (see _build_tables)
+_STACK = 64  # candidate primitive elements tested together (see _primitive_element)
 
 
 # (base, least odd composite that passes Miller-Rabin to it and every base before it): OEIS A014233
@@ -58,18 +65,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int, bound: int | None = None) -> list[int]:
+def prime_factors(n: int) -> list[int]:
     """Sorted list of the distinct prime factors of n >= 1, by trial division.
 
-    With a bound, trial division stops at the first divisor d above it: a
-    cofactor of at least d^2 left then raises ValueError, and a smaller one
-    is prime, so a returned list is always exact.
+    Trial division stops at the first divisor d above _TRIAL_DIVISION_BOUND:
+    a cofactor of at least d^2 left then raises ValueError, and a smaller
+    one is prime, so a returned list is always exact.
     """
     out = []
     d = 2
     while d * d <= n:
-        if bound is not None and d > bound:
-            raise ValueError(f"trial division to {bound} leaves a cofactor of {n.bit_length()} bits")
+        if d > _TRIAL_DIVISION_BOUND:
+            raise ValueError(f"trial division to {_TRIAL_DIVISION_BOUND} leaves a cofactor of {n.bit_length()} bits")
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -80,10 +87,10 @@ def prime_factors(n: int, bound: int | None = None) -> list[int]:
     return out
 
 
-def divisors(n: int, bound: int | None = None) -> list[int]:
-    """Sorted list of the divisors of n >= 1; bound as for prime_factors."""
+def divisors(n: int) -> list[int]:
+    """Sorted list of the divisors of n >= 1; ValueError as for prime_factors."""
     out = [1]
-    for r in prime_factors(n, bound):
+    for r in prime_factors(n):
         powers = [1]
         while n % (powers[-1] * r) == 0:
             powers.append(powers[-1] * r)
@@ -99,104 +106,98 @@ def euler_phi(n: int) -> int:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Order of a modulo n; requires gcd(a, n) = 1."""
-    import math
-
+    """Order of a modulo n; requires gcd(a, n) = 1, and n and phi(n) factored by prime_factors."""
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    order = euler_phi(n)
-    for r in prime_factors(order):
+    try:
+        order = euler_phi(n)
+        primes = prime_factors(order)
+    except ValueError as exc:
+        raise ValueError(f"cannot find the order of {a} modulo {n}: {exc}") from None
+    for r in primes:
         while order % r == 0 and pow(a, order // r, n) == 1:
             order //= r
     return order
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over GF(p).  Coefficient lists, constant first,
-# trailing zeros trimmed.  Only what the field construction needs.
+# Matrices over GF(p), int64 entries in [0, p).  Products stay below
+# m * p^2, far inside int64 for every field up to FIELD_SIZE_BOUND.
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    a = list(a)
-    n = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    while len(a) - 1 >= n:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - n
-        if c:
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fi) % p
-        a.pop()
-        _ptrim(a)
-        if not a:
-            break
-    return a
-
-
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _ptrim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Ben-Or test: monic f of degree m has no factor of degree <= m/2."""
+def _companion(f, p: int) -> np.ndarray:
+    """Companion matrix of monic f (constant term first): column i is x * x^i mod f."""
     m = len(f) - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    x_red = _pmod([0, 1], f, p)
-    t = x_red
-    for _ in range(m // 2):
-        t = _ppowmod(t, p, f, p)
-        if len(_pgcd(_psub(t, x_red, p), f, p)) - 1 != 0:
+    C = np.zeros((m, m), dtype=np.int64)
+    C[1:, :-1] = np.eye(m - 1, dtype=np.int64)
+    C[:, -1] = [(-c) % p for c in f[:-1]]
+    return C
+
+
+def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e mod p for e >= 1; M may be a stack of shape (..., m, m)."""
+    out = None
+    while True:
+        if e & 1:
+            out = M if out is None else out @ M % p
+        e >>= 1
+        if not e:
+            return out
+        M = M @ M % p
+
+
+def _invertible(M: np.ndarray, p: int) -> bool:
+    """Whether the square matrix M is invertible mod p, by Gaussian elimination."""
+    M = M % p
+    for c in range(len(M)):
+        rows = np.flatnonzero(M[c:, c])
+        if rows.size == 0:
+            return False
+        M[[c, c + rows[0]]] = M[[c + rows[0], c]]
+        M[c] = M[c] * pow(int(M[c, c]), -1, p) % p
+        M[c + 1 :] = (M[c + 1 :] - np.outer(M[c + 1 :, c], M[c])) % p
+    return True
+
+
+def _is_irreducible(f, p: int) -> bool:
+    """Ben-Or test: monic f of degree m >= 1 has no factor of degree <= m/2.
+
+    gcd(x^(p^i) - x, f) = 1 iff x^(p^i) - x is a unit mod f, iff its
+    matrix C^(p^i) - C is invertible (C the companion matrix of f).
+    """
+    C = _companion(f, p)
+    T = C
+    for _ in range((len(f) - 1) // 2):
+        T = _mat_pow(T, p, p)
+        if not _invertible(T - C, p):
             return False
     return True
+
+
+def _primitive_element(p: int, m: int, C: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The least primitive g (coordinates in product() order) and its matrix g(C).
+
+    Candidates go in stacks of _STACK; g is primitive iff g^((q-1)/r) != 1
+    for every prime r | q - 1.
+    """
+    n = p**m - 1
+    exponents = [n // r for r in prime_factors(n)]
+    eye = np.eye(m, dtype=np.int64)
+    candidates = product(range(p), repeat=m)
+    next(candidates)  # zero
+    while stack := list(islice(candidates, _STACK)):
+        coords = np.array(stack, dtype=np.int64)
+        G = np.zeros((len(stack), m, m), dtype=np.int64)
+        for g_j in coords.T[::-1]:  # Horner: g(C) = (...(g_{m-1} C + g_{m-2}) C + ...) + g_0
+            G = (G @ C + g_j[:, None, None] * eye) % p
+        primitive = np.ones(len(stack), dtype=bool)
+        for e in exponents:
+            primitive &= ~(_mat_pow(G, e, p) == eye).all(axis=(1, 2))
+        if primitive.any():
+            i = int(np.argmax(primitive))
+            return stack[i], G[i]
+    raise RuntimeError("no primitive element found")  # unreachable for a field
 
 
 def poly_str(coeffs) -> str:
@@ -220,8 +221,6 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     Coefficient tuples (c0, ..., c_{m-1}) are compared constant term first;
     the returned tuple includes the leading 1.
     """
-    from itertools import product
-
     if m == 1:
         return (0, 1)  # x itself: the smallest monic linear, trivially irreducible
     for c0 in range(1, p):  # zero constant term would make x a factor
@@ -263,72 +262,22 @@ class FieldCtx:
     safe to share across threads.
     """
 
-    def __init__(self, p: int, m: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, m: int):
         q = field_order(p, m)
-        if q > max_q:
-            raise ValueError(f"q = p^m = {q} exceeds the size bound {max_q}")
+        if q > FIELD_SIZE_BOUND:
+            raise ValueError(f"q = p^m = {q} exceeds the size bound {FIELD_SIZE_BOUND}")
         self.p = p
         self.m = m
         self.q = q
         self.modulus = canonical_modulus(p, m)
-        self._q_minus_1_primes = prime_factors(q - 1)
-        alpha = self._find_primitive()
+        alpha, A = _primitive_element(p, m, _companion(self.modulus, p))
         self.alpha = FieldElt(alpha)
-        self._trace_basis = self._compute_trace_basis()
-        self._build_tables(alpha)
+        self._build_tables(A)
 
-    # -- construction helpers -------------------------------------------------
-
-    def _elt_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        prod = _pmulmod(list(a), list(b), list(self.modulus), self.p)
-        return tuple(prod + [0] * (self.m - len(prod)))
-
-    def _elt_pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        r = _ppowmod(list(a), e, list(self.modulus), self.p)
-        return tuple(r + [0] * (self.m - len(r)))
-
-    def _find_primitive(self) -> tuple[int, ...]:
-        from itertools import product
-
-        one = (1,) + (0,) * (self.m - 1)
-        n = self.q - 1
-        for cand in product(range(self.p), repeat=self.m):
-            # product() yields coefficient tuples in lexicographic order,
-            # constant term most significant, matching the modulus ordering.
-            if not any(cand):
-                continue
-            if all(self._elt_pow(cand, n // r) != one for r in self._q_minus_1_primes):
-                return cand
-        raise RuntimeError("no primitive element found")  # unreachable for a field
-
-    def _compute_trace_basis(self) -> np.ndarray:
-        # trace(x^i) for each power-basis monomial; trace is GF(p)-linear.
-        f = list(self.modulus)
-        vals = []
-        for i in range(self.m):
-            acc = [0]
-            y = _pmod([0] * i + [1], f, self.p)
-            t = y
-            for _ in range(self.m):
-                acc = _ptrim([(a + b) % self.p for a, b in zip(acc + [0] * len(t), t + [0] * len(acc))])
-                t = _ppowmod(t, self.p, f, self.p)
-            if len(acc) > 1:
-                raise RuntimeError("trace of a basis monomial is not scalar")
-            vals.append(acc[0] if acc else 0)
-        return np.array(vals, dtype=np.int64)
-
-    def _mul_by_alpha_matrix(self) -> np.ndarray:
-        cols = []
-        a = tuple(self.alpha.coeffs)
-        for i in range(self.m):
-            basis = tuple(1 if j == i else 0 for j in range(self.m))
-            cols.append(self._elt_mul(a, basis))
-        return np.array(cols, dtype=np.int64).T  # column i = alpha * x^i
-
-    def _build_tables(self, alpha: tuple[int, ...]) -> None:
+    def _build_tables(self, A: np.ndarray) -> None:
+        """exp, dlog and zech tables from A, the matrix of multiplication by alpha."""
         p, m, q = self.p, self.m, self.q
         n = q - 1
-        A = self._mul_by_alpha_matrix()
         block = min(_BLOCK, n)
         # Columns 0..block-1 hold alpha^t, built by doubling: X = [X | A^w X]
         # with w the current width.  When n > block, block = _BLOCK is a power
@@ -343,7 +292,6 @@ class FieldCtx:
         pow_p = p ** np.arange(m, dtype=np.int64)
         exp = np.empty(n, dtype=np.int64)
         one_minus_code = np.empty(n, dtype=np.int64)
-        tr = np.empty(n, dtype=np.int64)
 
         start = 0
         while start < n:
@@ -353,7 +301,6 @@ class FieldCtx:
             Y = (-Xb) % p
             Y[0, :] = (1 - Xb[0, :]) % p
             one_minus_code[start : start + width] = pow_p @ Y
-            tr[start : start + width] = (self._trace_basis @ Xb) % p
             start += width
             if start < n:
                 X = (step @ X) % p
@@ -366,8 +313,7 @@ class FieldCtx:
         self.exp_table = exp
         self.dlog_table = dlog
         self.zech_table = dlog[one_minus_code]  # dlog(1 - alpha^t); -1 at t = 0
-        self.trace_table = tr
-        for arr in (self.exp_table, self.dlog_table, self.zech_table, self.trace_table):
+        for arr in (self.exp_table, self.dlog_table, self.zech_table):
             arr.setflags(write=False)
 
     # -- element encoding ------------------------------------------------------
@@ -409,6 +355,6 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, m={self.m}, q={self.q}, modulus={poly_str(self.modulus)}, alpha={self.alpha})"
 
 
-def build_field(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:
+def build_field(p: int, m: int) -> FieldCtx:
     """Construct GF(p^m) with the canonical modulus and primitive element."""
-    return FieldCtx(p, m, max_q=max_q)
+    return FieldCtx(p, m)

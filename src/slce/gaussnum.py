@@ -30,8 +30,23 @@ def _character_phases(ctx: FieldCtx, n: int, j: int) -> np.ndarray:
     return np.exp(2j * np.pi * (j % n) * t / n)
 
 
+def _traces(ctx: FieldCtx) -> np.ndarray:
+    """Tr(alpha^t) for t = 0..q-2.
+
+    Tr(alpha^t) = sum over i < m of alpha^(t p^i); the trace lies in GF(p),
+    so it is the sum of the constant coordinates, exp_table[.] mod p.
+    """
+    n = ctx.q - 1
+    t = np.arange(n, dtype=np.int64)
+    tr = np.zeros(n, dtype=np.int64)
+    for _ in range(ctx.m):
+        tr += ctx.exp_table[t] % ctx.p
+        t = t * ctx.p % n
+    return tr % ctx.p
+
+
 def _additive_phases(ctx: FieldCtx) -> np.ndarray:
-    return np.exp(2j * np.pi * ctx.trace_table / ctx.p)
+    return np.exp(2j * np.pi * _traces(ctx) / ctx.p)
 
 
 def gauss_sum(ctx: FieldCtx, n: int, j: int) -> complex:

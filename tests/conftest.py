@@ -1,18 +1,24 @@
+from slce import fields
 from slce.fields import build_field
 from slce.gf2poly import poly_from_seq
 from slce.sequences import generate
 
 _CACHE = {}
 _CACHE_LIMIT_Q = 3000
+_BUNDLE_MAX_Q = 3_000_000  # acceptance 7 checks a prediction at q = 137^3, above the CLI's bound
 
 
 def field_bundle(p, m):
-    """(ctx, seq, s2) for GF(p^m); small fields are memoized across tests."""
+    """(ctx, seq, s2) for GF(p^m), q up to 3,000,000; small fields are memoized across tests."""
     key = (p, m)
     found = _CACHE.get(key)
     if found is not None:
         return found
-    ctx = build_field(p, m, max_q=3_000_000)
+    bound, fields.FIELD_SIZE_BOUND = fields.FIELD_SIZE_BOUND, _BUNDLE_MAX_Q
+    try:
+        ctx = build_field(p, m)
+    finally:
+        fields.FIELD_SIZE_BOUND = bound
     seq = generate(ctx)
     bundle = (ctx, seq, poly_from_seq(seq))
     if ctx.q <= _CACHE_LIMIT_Q:

@@ -23,12 +23,20 @@ that `slce.cyclotomic._reduce` replaced; `half_K_plus_one` and
 `reduce_mod_ideal` are the element-level path through Z[zeta_k] that
 `slce.cyclotomic.criterion` replaced with one packed array.
 
+The GF(p)[x] list arithmetic (coefficient lists, constant term first) is
+the construction `slce.fields` replaced with the companion matrix of the
+modulus: `is_irreducible_by_gcd` is Ben-Or's test by polynomial gcds and
+`field_by_lists` finds the modulus, alpha and the matrix of multiplication
+by alpha with lists alone.  `trace` takes the trace of the multiplication
+matrix, independent of the Frobenius sum in `slce.gaussnum`.
+
 The element operations act on one field element at a time through the
 exponent and log tables of a context; the tests use them to check the
 tables and the vectorised constructions built on them.
 """
 
 import warnings
+from itertools import product
 from math import gcd as intgcd
 
 import numpy as np
@@ -419,6 +427,112 @@ def berlekamp_factor(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
+# GF(p)[x] coefficient lists, constant term first, trailing zeros trimmed.
+# ---------------------------------------------------------------------------
+
+
+def ptrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def pmul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return ptrim(out)
+
+
+def pmod(a: list[int], f: list[int], p: int) -> list[int]:
+    a = list(a)
+    n = len(f) - 1
+    inv_lead = pow(f[-1], -1, p)
+    while len(a) - 1 >= n:
+        c = (a[-1] * inv_lead) % p
+        shift = len(a) - 1 - n
+        if c:
+            for i, fi in enumerate(f):
+                a[shift + i] = (a[shift + i] - c * fi) % p
+        a.pop()
+        ptrim(a)
+        if not a:
+            break
+    return a
+
+
+def pmulmod(a, b, f, p):
+    return pmod(pmul(a, b, p), f, p)
+
+
+def ppowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    result = [1]
+    base = pmod(a, f, p)
+    while e:
+        if e & 1:
+            result = pmulmod(result, base, f, p)
+        base = pmulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, pmod(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+def psub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
+    return ptrim([(x - y) % p for x, y in zip(a, b)])
+
+
+def is_irreducible_by_gcd(f: list[int], p: int) -> bool:
+    """Ben-Or test: monic f of degree m >= 1 has no factor of degree <= m/2, by gcd(x^(p^i) - x, f)."""
+    x_red = pmod([0, 1], f, p)
+    t = x_red
+    for _ in range((len(f) - 1) // 2):
+        t = ppowmod(t, p, f, p)
+        if len(pgcd(psub(t, x_red, p), f, p)) - 1 != 0:
+            return False
+    return True
+
+
+def field_by_lists(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """(modulus, alpha, A) of the canonical GF(p^m), by list arithmetic alone.
+
+    The modulus is the first monic irreducible in constant-term-first tuple
+    order (x when m = 1), alpha the first element in the same order whose
+    (q-1)/r-th power is not 1 for any prime r | q - 1, and column i of A is
+    alpha * x^i.
+    """
+    f = [0, 1]
+    if m > 1:
+        monic = ([c0, *tail, 1] for c0 in range(1, p) for tail in product(range(p), repeat=m - 1))
+        f = next(g for g in monic if is_irreducible_by_gcd(g, p))
+    n = p**m - 1
+    primes = prime_factors(n)
+    alpha = next(
+        g for g in product(range(p), repeat=m) if any(g) and all(ppowmod(list(g), n // r, f, p) != [1] for r in primes)
+    )
+    A = np.zeros((m, m), dtype=np.int64)
+    for i in range(m):
+        column = pmulmod(list(alpha), [0] * i + [1], f, p)
+        A[: len(column), i] = column
+    return tuple(f), alpha, A
+
+
+# ---------------------------------------------------------------------------
 # Field element operations, one element at a time.
 # ---------------------------------------------------------------------------
 
@@ -436,16 +550,13 @@ def dlog(ctx: FieldCtx, x: FieldElt) -> int:
 
 
 def trace(ctx: FieldCtx, x: FieldElt) -> int:
-    """Tr(x) = x + x^p + ... + x^(p^(m-1)), summed in the field; it lies in GF(p)."""
-    if x.is_zero():
-        return 0
-    t = dlog(ctx, x)
-    total = ctx.zero()
+    """Tr(x), the trace of the matrix of multiplication by x: the sum of the x^i coordinates of x * x^i."""
+    f = list(ctx.modulus)
+    total = 0
     for i in range(ctx.m):
-        total = add(ctx, total, power(ctx, t * ctx.p**i))
-    if any(total.coeffs[1:]):
-        raise ArithmeticError(f"trace of {x} is not in the prime field")
-    return total.coeffs[0]
+        column = pmulmod(list(x.coeffs), [0] * i + [1], f, ctx.p)
+        total += column[i] if i < len(column) else 0
+    return total % ctx.p
 
 
 def add(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:

@@ -217,6 +217,18 @@ def test_verify_all_k_refuses_an_unfactored_q_minus_1(capsys, p, m):
     assert err.startswith(f"error: q - 1 = {p}^{m} - 1 is not factored") and "-k" in err
 
 
+@pytest.mark.parametrize("command", [["predict"], ["verify", "--predict-only"]])
+def test_k_beyond_trial_division_is_refused_quickly(capsys, command):
+    # k | 3^97 - 1 has no prime factor below 2^20, so neither k nor phi(k) is factored
+    k = 124545264471348586573478659339011644717351
+    t0 = time.perf_counter()
+    rc, out = run([command[0], "-p", "3", "-m", "97", "-k", str(k), *command[1:]])
+    assert time.perf_counter() - t0 < 2.0
+    assert (rc, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot find the order of 3 modulo {k}: trial division to 1048576")
+
+
 def test_verify_all_k_predict_only_factors_q_minus_1_exactly():
     rc, out = run(["verify", "-p", "3", "-m", "40", "--predict-only", "--json"])
     assert rc == 0

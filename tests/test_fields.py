@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from oracles import add, dlog, inv, mul, power, sub, trace
+import numpy as np
+
+from oracles import add, dlog, field_by_lists, inv, is_irreducible_by_gcd, mul, power, ppowmod, psub, sub, trace
+from slce import fields
+from slce.cli import _odd_prime_powers_upto
 from slce.fields import (
     FieldElt,
     build_field,
@@ -13,10 +17,12 @@ from slce.fields import (
     is_prime,
     multiplicative_order,
     prime_factors,
+    _companion,
+    _invertible,
     _is_irreducible,
-    _ppowmod,
-    _psub,
+    _primitive_element,
 )
+from slce.gaussnum import _traces
 
 
 def brute_order(a, p):
@@ -59,8 +65,8 @@ def test_build_field_errors():
         build_field(2, 1)
     with pytest.raises(ValueError):
         build_field(9, 1)
-    with pytest.raises(ValueError):
-        build_field(3, 20, max_q=10**6)
+    with pytest.raises(ValueError, match="exceeds the size bound 2000000"):
+        build_field(3, 14)  # q = 4,782,969
 
 
 def test_power_examples():
@@ -111,8 +117,8 @@ def test_modulus_divides_frobenius_polynomial(p, m):
     f = list(canonical_modulus(p, m))
     t = [0, 1]
     for _ in range(m):
-        t = _ppowmod(t, p, f, p)
-    assert _psub(t, [0, 1], p) == []
+        t = ppowmod(t, p, f, p)
+    assert psub(t, [0, 1], p) == []
 
 
 def test_canonical_modulus_is_smallest_irreducible():
@@ -141,9 +147,12 @@ def test_is_irreducible_against_root_counting():
 
 
 def test_trace_table_matches_pointwise():
-    ctx = build_field(7, 2)
-    for t in range(0, ctx.q - 1, 5):
-        assert int(ctx.trace_table[t]) == trace(ctx, power(ctx, t))
+    # the Frobenius sum over exp_table against the trace of the multiplication matrix
+    for p, m in ((7, 2), (3, 5), (5, 3), (13, 1)):
+        ctx = build_field(p, m)
+        traces = _traces(ctx)
+        for t in range(ctx.q - 1):
+            assert int(traces[t]) == trace(ctx, power(ctx, t)), (p, m, t)
 
 
 def test_zech_table_definition():
@@ -161,16 +170,17 @@ def test_tables_match_powering_at_block_boundaries():
     p, f = ctx.p, list(ctx.modulus)
 
     def alpha_pow(t):
-        c = _ppowmod(list(ctx.alpha.coeffs), t, f, p)
+        c = ppowmod(list(ctx.alpha.coeffs), t, f, p)
         return c + [0] * (ctx.m - len(c))
 
+    traces = _traces(ctx)
     for t in (1, 4095, 4096, 4097, ctx.q - 2):
         a = alpha_pow(t)
         assert int(ctx.exp_table[t]) == sum(c * p**i for i, c in enumerate(a)), t
         one_minus = [(-c) % p for c in a]
         one_minus[0] = (1 - a[0]) % p
         assert alpha_pow(int(ctx.zech_table[t])) == one_minus, t
-        assert int(ctx.trace_table[t]) == trace(ctx, FieldElt(tuple(a))), t
+        assert int(traces[t]) == trace(ctx, FieldElt(tuple(a))), t
 
 
 def test_field_ops():
@@ -234,20 +244,74 @@ def test_divisors_match_scan():
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
-def test_bounded_prime_factors_are_exact_or_refused():
+def test_bounded_prime_factors_are_exact_or_refused(monkeypatch):
+    exact = {n: (prime_factors(n), divisors(n)) for n in range(1, 5000)}
     refused = 0
     for bound in (1, 2, 3, 10, 30):
+        monkeypatch.setattr(fields, "_TRIAL_DIVISION_BOUND", bound)
         for n in range(1, 5000):
             cofactor = n
             for r in range(2, bound + 1):
                 while cofactor % r == 0:
                     cofactor //= r
             try:
-                got = prime_factors(n, bound)
+                got = prime_factors(n), divisors(n)
             except ValueError:
                 refused += 1
                 assert cofactor > bound * bound, (n, bound)  # the bound was really reached
                 continue
-            assert got == prime_factors(n), (n, bound)
-            assert divisors(n, bound) == divisors(n), (n, bound)
+            assert got == exact[n], (n, bound)
     assert refused > 1000
+
+
+def test_trial_division_stops_at_2_to_the_20():
+    assert prime_factors(1048573 * 1048583) == [1048573, 1048583]  # both below 2^20 + 2^4
+    with pytest.raises(ValueError):
+        prime_factors(1048583 * 1048589)  # two primes above 2^20
+    # 2^40 + 15 is below (2^20 + 1)^2, so trial division ends before passing 2^20
+    assert prime_factors(2 * (2**40 + 15)) == [2, 2**40 + 15]
+
+
+def test_matrix_ben_or_matches_gcd_ben_or():
+    # every monic polynomial of degree 1..4 over GF(3), GF(5), GF(7)
+    for p in (3, 5, 7):
+        for m in range(1, 5):
+            for tail in np.ndindex(*(p,) * m):
+                f = [*tail, 1]
+                assert _is_irreducible(f, p) == is_irreducible_by_gcd(f, p), (p, f)
+
+
+def test_invertible_matches_kernel_search():
+    def has_kernel(M, p):
+        return any(not (M @ np.array(v) % p).any() for v in np.ndindex(*(p,) * len(M)) if any(v))
+
+    rng = np.random.default_rng(7)
+    cases = [(np.array(M, dtype=np.int64).reshape(2, 2), 3) for M in np.ndindex(3, 3, 3, 3)]
+    cases += [(rng.integers(0, p, (n, n)), p) for p, n in ((3, 3), (5, 3), (3, 4), (7, 2)) for _ in range(200)]
+    cases += [(rng.integers(0, 2, (3, 3)) * 5 - 5, 5)]  # entries outside [0, p)
+    for M, p in cases:
+        assert _invertible(M, p) == (not has_kernel(M % p, p)), (M.tolist(), p)
+
+
+def test_field_matches_list_construction():
+    # modulus, alpha and the matrix of multiplication by alpha, as the list arithmetic finds them
+    pms = [(p, m) for _, p, m in _odd_prime_powers_upto(3000)]
+    assert len(pms) == 455
+    for p, m in pms + [(3, 8), (5, 8), (13, 5), (3, 13)]:
+        modulus, alpha, A = field_by_lists(p, m)
+        assert canonical_modulus(p, m) == modulus, (p, m)
+        got_alpha, got_A = _primitive_element(p, m, _companion(modulus, p))
+        assert got_alpha == alpha, (p, m)
+        assert np.array_equal(got_A, A), (p, m)
+
+
+@pytest.mark.parametrize("p,root", [(110881, 69), (760321, 73)])
+def test_least_primitive_root_past_the_first_stack(p, root):
+    primes = prime_factors(p - 1)
+
+    def is_root(a):
+        return all(pow(a, (p - 1) // r, p) != 1 for r in primes)
+
+    assert is_root(root) and not any(is_root(a) for a in range(1, root))
+    assert root > fields._STACK  # the search goes past its first stack
+    assert build_field(p, 1).alpha == FieldElt((root,))

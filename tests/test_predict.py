@@ -312,7 +312,7 @@ def test_index2_indeterminate_brackets_per_factor_truth(p, m, ell):
     # two order-ell minimal-polynomial classes divides when branches differ
     pred = predict_index2(p, m, ell, 1)
     assert pred.divides is None
-    ctx = build_field(p, m, max_q=200_000)
+    ctx = build_field(p, m)
     s2 = poly_from_seq(generate(ctx))
     outcomes = sorted(divides(g, s2) for g in minimal_polys_of_order(ell))
     assert outcomes == [False, True]
@@ -331,7 +331,7 @@ def test_index2_indeterminate_brackets_per_factor_truth(p, m, ell):
 def test_closed_form_index2_K_matches_exact_jacobi(p, m, ell, eps, b_sign):
     params = index2_params(p, m, ell, 1)
     want = closed_form_index2_K(params, b_sign)
-    ctx = build_field(p, m, max_q=200_000)
+    ctx = build_field(p, m)
     assert jacobi_K(ctx, ell) == want
     # and the opposite sign is the conjugate value
     from slce.cyclotomic import cyc_conj
