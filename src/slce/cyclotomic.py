@@ -19,8 +19,8 @@ O(2^omega(k)) array operations of length O(k), exact, in O(k) memory.  It
 works in int64 when an a priori bound allows and in Python integers
 otherwise.
 The criterion packs the parity of (K + 1)/2 into a GF(2) polynomial in
-one numpy pass, takes its gcd with x^k + 1 and reduces that modulo each
-ideal's g.
+one numpy pass, takes its gcd with Phi_k mod 2 (cached per k, and the
+polynomial `ideal_factors` splits) and reduces that modulo each ideal's g.
 """
 
 from __future__ import annotations
@@ -30,16 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FieldCtx, euler_phi, prime_factors
-from .gf2poly import Gf2Poly, factor_squarefree, gcd, x_pow_plus_one
-
-
-def _mobius_factors(k: int) -> list[tuple[int, int]]:
-    """(d, mu(k/d)) for every divisor d of k with mu(k/d) != 0."""
-    out = [(k, 1)]
-    for r in prime_factors(k):
-        out += [(d // r, -e) for d, e in out]
-    return out
+from .fields import FieldCtx, euler_phi, mobius_factors
+from .gf2poly import Gf2Poly, cyclotomic_mod2, factor_squarefree, gcd
 
 
 def _times_mobius(a: np.ndarray, factors) -> np.ndarray:
@@ -70,7 +62,7 @@ def _times_mobius(a: np.ndarray, factors) -> np.ndarray:
 
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients (constant first) of the k-th cyclotomic polynomial."""
-    return tuple(_times_mobius(np.ones(1, dtype=np.int64), _mobius_factors(k)).tolist())
+    return tuple(_times_mobius(np.ones(1, dtype=np.int64), mobius_factors(k)).tolist())
 
 
 def _fold_sum(a: np.ndarray, k: int) -> np.ndarray:
@@ -93,7 +85,7 @@ def _psi_plan(k: int) -> tuple[int, tuple, tuple]:
     by Phi_k is a sum of input coefficients times coefficients of Psi_k, and
     no remainder coefficient exceeds |vec|_1 * growth.
     """
-    factors = _mobius_factors(k)
+    factors = mobius_factors(k)
     psi = tuple((d, -e) for d, e in factors if d != k)
     one = np.ones(1, dtype=np.int64)
     growth = 1 + int(np.abs(_times_mobius(one, psi)).max()) * int(np.abs(_times_mobius(one, factors)).sum())
@@ -276,7 +268,7 @@ def ideal_factors(k: int) -> tuple[Gf2Poly, ...]:
     zeta_k maps to x, an element of order k whose minimal polynomial is g.
     """
     _require_odd_k(k)
-    return tuple(factor_squarefree(Gf2Poly.from_coeffs(cyclotomic_poly(k)), k))
+    return tuple(factor_squarefree(cyclotomic_mod2(k), k))
 
 
 def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
@@ -293,6 +285,6 @@ def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     w[0] += 1
     if (w & 1).any():
         raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")
-    # each g divides x^k + 1, so g | u exactly when g | gcd(u, x^k + 1)
-    u = gcd(Gf2Poly.from_coeffs((w >> 1) & 1), x_pow_plus_one(k))
+    # each g divides Phi_k mod 2, so g | u exactly when g | gcd(u, Phi_k)
+    u = gcd(Gf2Poly.from_coeffs((w >> 1) & 1), cyclotomic_mod2(k))
     return tuple((u % g).is_zero() for g in ideal_factors(k))

@@ -68,14 +68,17 @@ def is_prime(n: int) -> bool:
 def prime_factors(n: int) -> list[int]:
     """Sorted list of the distinct prime factors of n >= 1, by trial division.
 
-    Trial division stops at the first divisor d above _TRIAL_DIVISION_BOUND:
-    a cofactor of at least d^2 left then raises ValueError, and a smaller
-    one is prime, so a returned list is always exact.
+    Trial division stops at the first divisor d above _TRIAL_DIVISION_BOUND.
+    The cofactor left then is prime if it is below d^2 or if `is_prime`
+    certifies it (below _MR_BOUND); otherwise it raises ValueError, so a
+    returned list is always exact.
     """
     out = []
     d = 2
     while d * d <= n:
         if d > _TRIAL_DIVISION_BOUND:
+            if n < _MR_BOUND and is_prime(n):
+                break
             raise ValueError(f"trial division to {_TRIAL_DIVISION_BOUND} leaves a cofactor of {n.bit_length()} bits")
         if n % d == 0:
             out.append(d)
@@ -96,6 +99,17 @@ def divisors(n: int) -> list[int]:
             powers.append(powers[-1] * r)
         out = [d * s for d in out for s in powers]
     return sorted(out)
+
+
+def mobius_factors(n: int) -> list[tuple[int, int]]:
+    """(d, mu(n/d)) for every divisor d of n with mu(n/d) != 0; ValueError as for prime_factors.
+
+    The n-th cyclotomic polynomial is the product of (x^d - 1)^mu(n/d).
+    """
+    out = [(n, 1)]
+    for r in prime_factors(n):
+        out += [(d // r, -e) for d, e in out]
+    return out
 
 
 def euler_phi(n: int) -> int:

@@ -229,6 +229,13 @@ def test_k_beyond_trial_division_is_refused_quickly(capsys, command):
     assert err.startswith(f"error: cannot find the order of 3 modulo {k}: trial division to 1048576")
 
 
+def test_prime_k_beyond_trial_division_reaches_the_predictor(capsys):
+    # k = 4398046511119 is prime, 43 bits: trial division stops at 2^20 and Miller-Rabin certifies it
+    rc, out = run(["predict", "-p", "131941395333571", "-m", "1", "-k", "4398046511119"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err.startswith("no closed form in scope")
+
+
 def test_verify_all_k_predict_only_factors_q_minus_1_exactly():
     rc, out = run(["verify", "-p", "3", "-m", "40", "--predict-only", "--json"])
     assert rc == 0

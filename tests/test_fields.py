@@ -272,6 +272,18 @@ def test_trial_division_stops_at_2_to_the_20():
     assert prime_factors(2 * (2**40 + 15)) == [2, 2**40 + 15]
 
 
+def test_prime_cofactor_beyond_the_cut_off_is_certified():
+    k = 4398046511119  # the least prime above 2^42, past (2^20 + 1)^2
+    assert prime_factors(k) == [k]
+    assert prime_factors(6 * k) == [2, 3, k]
+    assert divisors(k) == [1, k]
+    with pytest.raises(ValueError):  # a composite cofactor is still refused
+        prime_factors(1048583 * k)
+    big = 124545264471348586573478659339011644717351  # prime or not, above the Miller-Rabin bound
+    with pytest.raises(ValueError):
+        prime_factors(big)
+
+
 def test_matrix_ben_or_matches_gcd_ben_or():
     # every monic polynomial of degree 1..4 over GF(3), GF(5), GF(7)
     for p in (3, 5, 7):

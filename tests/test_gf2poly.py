@@ -1,3 +1,5 @@
+import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,10 +32,13 @@ from slce.gf2poly import (
     _divmod_int,
     _fold,
     _gcd_int,
+    _mod_cyclotomic,
     _mod_int,
     _mul_int,
     _sqr_int,
+    _times_binomials,
     Gf2Poly,
+    cyclotomic_mod2,
     factor,
     factor_squarefree,
     factored_str,
@@ -138,6 +143,59 @@ def test_gcd_with_binomial_matches_euclid_on_every_field_to_3000():
     for q, p, m in fields:
         s2 = poly_from_seq(generate(build_field(p, m)))
         assert gcd(x_pow_plus_one(q - 1), s2).bits == gcd_by_divmod((1 << (q - 1)) | 1, s2.bits), q
+
+
+def test_cyclotomic_mod2_is_phi_mod_2():
+    for d in [*range(1, 2000, 2), 15015, 92823]:
+        assert cyclotomic_mod2(d) == Gf2Poly.from_coeffs(cyclotomic_poly(d)), d
+
+
+@st.composite
+def odd_moduli(draw):
+    """Odd d with up to four distinct prime factors, one of them possibly squared."""
+    primes = draw(st.lists(st.sampled_from([3, 5, 7, 11, 13]), max_size=4, unique=True))
+    d = math.prod(primes)
+    return d * primes[0] if primes and draw(st.booleans()) else d
+
+
+@given(d=odd_moduli(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_psi_remainder_matches_long_division(d, data):
+    f = data.draw(st.integers(min_value=0, max_value=(1 << 3 * d) - 1))
+    assert _mod_cyclotomic(f, d) == _mod_int(f, cyclotomic_mod2(d).bits)
+
+
+@given(
+    a=st.integers(min_value=0, max_value=(1 << 600) - 1),
+    c=st.integers(min_value=1, max_value=300),
+    k=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_division_by_binomials_inverts_multiplication(a, c, k):
+    factors = [(c, 1)] * k
+    assert _times_binomials(a, factors + [(c, -1)] * k) == a
+    assert _times_binomials(_times_binomials(a, factors), [(c, -1)] * k) == a
+
+
+def test_inexact_division_by_a_binomial_raises():
+    for a, c in [(0b111, 1), (1, 3), (0b1011, 2), ((1 << 10) | 1, 3)]:
+        with pytest.raises(ArithmeticError):
+            _times_binomials(a, [(c, -1)])
+
+
+@pytest.mark.parametrize("v", [15015 << e for e in range(4)] + [1009, 4 * 1009, 2 * 8191])
+def test_gcd_with_binomial_matches_euclid_across_cyclotomic_factors(v):
+    # s shares factors of several Phi_d, d | w, to powers on both sides of 2^e
+    rng = random.Random(v)
+    e = (v & -v).bit_length() - 1
+    w = v >> e
+    s = rng.getrandbits(v // 2) | (1 << (v // 2))
+    for d in rng.sample(divisors(w), min(4, len(divisors(w)))):
+        for _ in range(rng.randint(1, (1 << e) + 1)):
+            s = _mul_int(s, cyclotomic_mod2(d).bits)
+    want = gcd_by_divmod((1 << v) | 1, s)
+    assert want != 1
+    assert gcd(x_pow_plus_one(v), Gf2Poly(s)).bits == want
 
 
 @given(
