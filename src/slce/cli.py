@@ -59,10 +59,9 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     if direct:
         t0 = time.perf_counter()
         seq = sequences.generate(ctx)
-        common = gf2poly.gcd(gf2poly.x_pow_plus_one(seq.v), gf2poly.poly_from_seq(seq))
-        common_factors = gf2poly.factor(common, seq.v) if common.degree >= 1 else []
+        common_factors = gf2poly.gcd_factors(seq.v, gf2poly.Gf2Poly(seq.as_int()))
         block["gcd_factored"] = gf2poly.factored_str(common_factors)
-        block["linear_complexity"] = seq.v - common.degree
+        block["linear_complexity"] = seq.v - sum(mult * h.degree for h, mult in common_factors)
         # each g of a row divides x^k + 1 | x^v + 1: g | S2 iff g is an irreducible factor of the gcd
         gcd_irreducibles = {h for h, _ in common_factors}
         timings["sequence_and_gcd_s"] = time.perf_counter() - t0
@@ -264,6 +263,14 @@ def cmd_predict(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     q = field_order(args.p, args.m)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or a Python without one
+    if digits and q >= 10**digits:
+        print(
+            f"error: q = {args.p}^{args.m} has more than {digits} decimal digits,"
+            " the limit for printing an integer in a report",
+            file=sys.stderr,
+        )
+        return 2
     direct = q <= args.q_max
     if not direct and not args.predict_only:
         print(

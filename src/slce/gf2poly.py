@@ -1,4 +1,4 @@
-"""Polynomial arithmetic over GF(2): gcd with x^v + 1, factorization.
+"""Polynomial arithmetic over GF(2): the factored gcd with x^v + 1.
 
 Polynomials are bit-packed: bit i of an integer is the coefficient of x^i.
 Addition is xor, squaring is a byte-table bit spread, and remainders come
@@ -8,24 +8,25 @@ deg(dividend) * deg(divisor) / 64 word operations.  Euclid (`_gcd_int`)
 runs that xor-and-shift loop inline, step after step, and calls the
 windowed division only when a degree gap exceeds the window.
 
-Every polynomial the package factors (Phi_k mod 2, and the gcd of x^v + 1
-with a sequence polynomial) divides some x^v + 1, so its factors are split
-apart by sums of x^j over 2-cyclotomic cosets, not by a general method
-(see `factor_squarefree`).
-
-`gcd` with x^v + 1, the linear-complexity gcd, works one cyclotomic
-factor at a time (see `_gcd_binomial`).  With v = 2^e * w and w odd,
-x^w + 1 is the product of the pairwise coprime Phi_d mod 2 over d | w.
-Each Phi_d is a Moebius product of binomials x^c + 1, built and divided
-out by shifts and strided prefix xors (`_times_binomials`); the sequence
-polynomial is reduced mod Phi_d through Psi_d = (x^d + 1)/Phi_d, with no
-long division, and Euclid runs on degree phi(d).  So Euclid costs the sum
-of phi(d)^2 rather than w^2, the same when w is prime.  On a 2-core
-machine with Python 3.11 that gcd took 0.006 s at v = 390,624 (q = 5^8),
-0.03 s at v = 531,440 (3^12), 0.15 s at v = 371,292 (13^5), 0.25 s at
-v = 1,419,856 (17^5), 2.6 s at v = 823,542 (7^7) and 17 s at
-v = 1,594,322 (3^13, w prime), against 0.07, 0.14, 0.33, 0.39, 5.0 and
-18 s for one Euclid on all of x^w + 1.
+`gcd` is plain Euclid.  The linear-complexity gcd, gcd(x^v + 1, s), is
+never built as one polynomial: `gcd_factors` returns its irreducible
+factors with their multiplicities, one cyclotomic factor of x^v + 1 at a
+time.  With v = 2^e * w and w odd, x^w + 1 is the product of the pairwise
+coprime Phi_d mod 2 over d | w.  Each Phi_d is a Moebius product of
+binomials x^c + 1, built and divided out by shifts and strided prefix
+xors (`_times_binomials`); s is reduced mod Phi_d through
+Psi_d = (x^d + 1)/Phi_d, with no long division, and Euclid runs on degree
+phi(d).  So Euclid costs the sum of phi(d)^2 rather than w^2, the same
+when w is prime.  Each G_d = gcd(Phi_d, s mod Phi_d) divides x^d + 1, d
+odd, so its factors are split apart by sums of x^j over 2-cyclotomic
+cosets, not by a general method (`factor_squarefree`, which also splits
+Phi_k mod 2 for the prime ideals above 2); the power 2^e enters only
+through each factor's multiplicity.  On a 2-core machine with Python
+3.11, `gcd_factors` took 0.006 s at v = 390,624 (q = 5^8), 0.02-0.03 s
+at v = 531,440 (3^12), 0.19 s at v = 371,292 (13^5), 0.28 s at
+v = 1,419,856 (17^5), 2.0-2.9 s at v = 823,542 (7^7) and 17-19 s at
+v = 1,594,322 (3^13, w prime); one Euclid on all of x^w + 1 took 0.07,
+0.14, 0.33, 0.39, 5.0 and 18 s.
 
 Degree of the zero polynomial is the sentinel -1; nonzero polynomials over
 GF(2) are automatically monic.
@@ -184,35 +185,6 @@ def _mod_cyclotomic(f: int, d: int) -> int:
     return _times_binomials(_fold(_times_binomials(_fold(f, d), psi), d), inverse)
 
 
-def _gcd_binomial(v: int, s: int) -> int:
-    """gcd(x^v + 1, s) for s != 0, one cyclotomic factor of x^w + 1 at a time.
-
-    With v = 2^e * w and w odd, x^v + 1 = (x^w + 1)^(2^e), and x^w + 1 is
-    the product of the Phi_d mod 2 over d | w, squarefree and pairwise
-    coprime.  So G_d = gcd(Phi_d, s mod Phi_d) costs one Euclid on degree
-    phi(d), and each irreducible g | G_d enters the gcd to the power
-    min(2^e, nu_g(s)): the part of the gcd above Phi_d is gcd(P, s mod P)
-    with P = G_d^(2^e), and P divides x^(d 2^e) + 1, so s mod P is the
-    fold of s mod x^(d 2^e) + 1 reduced mod P.  The gcd is the product of
-    those parts.
-    """
-    e = (v & -v).bit_length() - 1
-    w = v >> e
-    f = _fold(s, w)
-    out = 1
-    for d in divisors(w):
-        g = _gcd_int(_cyclotomic_plan(d)[0], _mod_cyclotomic(f, d))
-        if g == 1:
-            continue
-        if e:
-            top = g
-            for _ in range(e):
-                top = _sqr_int(top)
-            g = _gcd_int(top, _mod_int(_fold(s, d << e), top))
-        out = _mul_int(out, g)
-    return out
-
-
 class Gf2Poly:
     """A dense polynomial over GF(2), stored as a bit-packed integer."""
 
@@ -239,8 +211,6 @@ class Gf2Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Gf2Poly):
             return self.bits == other.bits
-        if isinstance(other, int):
-            return self.bits == other
         return NotImplemented
 
     def __hash__(self):
@@ -269,49 +239,16 @@ class Gf2Poly:
 
 
 def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """Monic gcd; gcd(f, 0) = f.  Both arguments zero is an error.
-
-    When either argument is x^v + 1 and the other is nonzero, Euclid runs
-    once per cyclotomic factor of x^v + 1 (`_gcd_binomial`); otherwise on
-    a and b.
-    """
+    """Monic gcd by Euclid; gcd(f, 0) = f.  Both arguments zero is an error."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    a_bits, b_bits = a.bits, b.bits
-    if b_bits.bit_count() == 2 and b_bits & 1:
-        a_bits, b_bits = b_bits, a_bits
-    if a_bits.bit_count() == 2 and a_bits & 1 and b_bits:  # a = x^v + 1
-        return Gf2Poly(_gcd_binomial(a_bits.bit_length() - 1, b_bits))
-    return Gf2Poly(_gcd_int(a_bits, b_bits))
-
-
-def x_pow_plus_one(v: int) -> Gf2Poly:
-    """x^v + 1."""
-    return Gf2Poly((1 << v) | 1)
-
-
-def poly_from_seq(seq) -> Gf2Poly:
-    """Sequence polynomial: coefficient t equals bits[t] of one period."""
-    return Gf2Poly(seq.as_int())
+    return Gf2Poly(_gcd_int(a.bits, b.bits))
 
 
 # ---------------------------------------------------------------------------
 # Factorization of divisors of x^n + 1, n odd: split by the idempotents of
 # binary cyclic codes, the sums of x^j over the 2-cyclotomic cosets of Z/n.
 # ---------------------------------------------------------------------------
-
-
-def _x_pow_mod(e: int, r: int) -> int:
-    """x^e mod r by square-and-multiply; multiplying by x is a shift."""
-    dr = r.bit_length() - 1
-    t = 1
-    for bit in bin(e)[2:]:
-        t = _mod_int(_sqr_int(t), r)
-        if bit == "1":
-            t <<= 1
-            if t >> dr:
-                t ^= r
-    return t
 
 
 def factor_squarefree(f: Gf2Poly, n: int) -> list[Gf2Poly]:
@@ -350,36 +287,34 @@ def factor_squarefree(f: Gf2Poly, n: int) -> list[Gf2Poly]:
     return sorted(map(Gf2Poly, pieces), key=lambda g: g.bits)
 
 
-def factor(g: Gf2Poly, v: int) -> list[tuple[Gf2Poly, int]]:
-    """Complete factorization of g | x^v + 1 into (irreducible, multiplicity) pairs.
+def gcd_factors(v: int, s: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
+    """gcd(x^v + 1, s) as (irreducible, multiplicity) pairs, sorted by (degree, bit pattern).
 
-    Pairs are sorted by (degree, bit pattern); the product recombines to g.
-    With v = 2^e * w and w odd, the radical of g is gcd(g, x^w + 1), and the
-    factors whose roots have order d | w are gcd(rest, x^d + 1) once the
-    smaller divisors of w are taken out.  A factor h enters g at most 2^e
-    times, so its multiplicity is deg gcd(g, h^(2^e)) / deg h.
+    With v = 2^e * w and w odd, x^v + 1 = (x^w + 1)^(2^e), and x^w + 1 is
+    the product of the Phi_d mod 2 over d | w, squarefree and pairwise
+    coprime.  So the factors of the gcd whose roots have order d are those
+    of G_d = gcd(Phi_d, s mod Phi_d): one Euclid on degree phi(d), after a
+    reduction through Psi_d (`_mod_cyclotomic`), and a coset split
+    (`factor_squarefree`).  Each such h enters the gcd min(2^e, nu_h(s))
+    times, which is deg gcd(h^(2^e), s mod h^(2^e)) / deg h; h^(2^e)
+    divides x^(d 2^e) + 1, so s may first be folded mod that binomial.
+    s = 0 gives the factorization of x^v + 1.
     """
-    if g.degree < 1:
-        raise ValueError("factor requires a polynomial of degree >= 1")
     e = (v & -v).bit_length() - 1
     w = v >> e
-    rest = _gcd_int(g.bits, _x_pow_mod(w, g.bits) ^ 1)
+    f = _fold(s.bits, w)
     found = []
     for d in divisors(w):
-        if rest == 1:
-            break
-        part = _gcd_int(rest, _x_pow_mod(d, rest) ^ 1)
-        if part == 1:
+        g = _gcd_int(_cyclotomic_plan(d)[0], _mod_cyclotomic(f, d))
+        if g == 1:
             continue
-        rest = _divmod_int(rest, part)[0]
-        for h in factor_squarefree(Gf2Poly(part), d):
+        folded = _fold(s.bits, d << e)
+        for h in factor_squarefree(Gf2Poly(g), d):
             top = h.bits
             for _ in range(e):
                 top = _sqr_int(top)
-            shared = _gcd_int(top, _mod_int(g.bits, top))
+            shared = _gcd_int(top, _mod_int(folded, top))
             found.append((h, (shared.bit_length() - 1) // h.degree))
-    if sum(h.degree * mult for h, mult in found) != g.degree:
-        raise ValueError(f"a polynomial of degree {g.degree} does not divide x^{v} + 1")
     return sorted(found, key=lambda item: (item[0].degree, item[0].bits))
 
 

@@ -1,6 +1,6 @@
+from oracles import poly_from_seq
 from slce import fields
 from slce.fields import build_field
-from slce.gf2poly import poly_from_seq
 from slce.sequences import generate
 
 _CACHE = {}

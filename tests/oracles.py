@@ -7,16 +7,17 @@ GF(2^f), f = ord_k(2), without factoring anything.  It is the oracle of
 
 `berlekamp_factor` factors any polynomial over GF(2): a squarefree split by
 derivatives and square roots, then Berlekamp's Q-matrix method on each
-squarefree part.  It is the oracle of `slce.gf2poly.factor` and
-`factor_squarefree`, which factor only divisors of x^n + 1, n odd, by
-splitting with the cyclotomic-coset idempotents.
+squarefree part.  It is the oracle of `slce.gf2poly.gcd_factors` and
+`factor_squarefree`, which factor only divisors of x^n + 1 by splitting
+with the cyclotomic-coset idempotents.
 
 `gcd_by_divmod` is textbook Euclid on `_divmod_int` alone, the oracle of
-`_gcd_int` and of the gcd with x^v + 1.  `divides` tests g | s by one
-remainder against the whole of s; the CLI reads the same answer off the
-factors of gcd(x^v + 1, s).  `linear_complexity` and
-Berlekamp-Massey give the linear complexity two ways, from the gcd and
-from the shortest register.
+`_gcd_int` and of the factored gcd with x^v + 1.  `divides` tests g | s by
+one remainder against the whole of s; the CLI reads the same answer off
+the factors of gcd(x^v + 1, s).  `linear_complexity` (one Euclid with all
+of x^v + 1, `poly_from_seq` the sequence polynomial) and Berlekamp-Massey
+give the linear complexity two ways, from the gcd and from the shortest
+register.
 
 `reduce_by_long_division` is the row-by-row monic long division by Phi_k
 that `slce.cyclotomic._reduce` replaced; `half_K_plus_one` and
@@ -44,7 +45,7 @@ import numpy as np
 from slce import cyclotomic
 from slce.cyclotomic import CycInt, cyclotomic_poly
 from slce.fields import FieldCtx, FieldElt, divisors, multiplicative_order, prime_factors
-from slce.gf2poly import Gf2Poly, _divmod_int, _gcd_int, _mod_int, _mul_int, _sqr_int, gcd, poly_from_seq
+from slce.gf2poly import Gf2Poly, _divmod_int, _gcd_int, _mod_int, _mul_int, _sqr_int, gcd
 
 X = Gf2Poly(2)
 ONE = Gf2Poly(1)
@@ -53,6 +54,16 @@ ONE = Gf2Poly(1)
 # ---------------------------------------------------------------------------
 # GF(2)[x]: Euclid, irreducibility, products, linear complexity.
 # ---------------------------------------------------------------------------
+
+
+def x_pow_plus_one(v: int) -> Gf2Poly:
+    """x^v + 1."""
+    return Gf2Poly((1 << v) | 1)
+
+
+def poly_from_seq(seq) -> Gf2Poly:
+    """Sequence polynomial: coefficient t equals bits[t] of one period."""
+    return Gf2Poly(seq.as_int())
 
 
 def divides(g: Gf2Poly, s: Gf2Poly) -> bool:
@@ -101,7 +112,7 @@ def linear_complexity(seq) -> int:
     if s2.is_zero():
         warnings.warn("all-zero sequence: linear complexity 0 by convention")
         return 0
-    return seq.v - gcd(Gf2Poly((1 << seq.v) | 1), s2).degree
+    return seq.v - gcd(x_pow_plus_one(seq.v), s2).degree
 
 
 def berlekamp_massey(seq, n_terms: int | None = None) -> tuple[int, Gf2Poly]:

@@ -16,7 +16,15 @@ import time
 import pytest
 
 from conftest import field_bundle
-from oracles import all_ones_poly, berlekamp_massey, divides, linear_complexity, minimal_polys_of_order
+from oracles import (
+    all_ones_poly,
+    berlekamp_massey,
+    divides,
+    linear_complexity,
+    minimal_polys_of_order,
+    poly_from_seq,
+    recombine,
+)
 from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import (
     check_eq3,
@@ -29,14 +37,7 @@ from slce.cyclotomic import (
 )
 from slce.fields import is_prime
 from slce.gaussnum import REL_TOL, check_identities, modulus_suite
-from slce.gf2poly import (
-    Gf2Poly,
-    factor,
-    factored_str,
-    gcd,
-    poly_from_seq,
-    x_pow_plus_one,
-)
+from slce.gf2poly import Gf2Poly, factored_str, gcd_factors
 from slce.predict import closed_form_pure_K, predict_index2, predict_pure, pure_case_params
 from slce.sequences import autocorrelation_profile, decimate, lce_shift_check
 
@@ -87,8 +88,9 @@ def test_acceptance_1_reference_gcd_table(case):
     p, m = case["p"], case["m"]
     t0 = time.perf_counter()
     ctx, seq, s2 = field_bundle(p, m)
-    g = gcd(x_pow_plus_one(seq.v), s2)
-    got = factored_str(factor(g, seq.v))
+    factors = gcd_factors(seq.v, s2)
+    got = factored_str(factors)
+    g = recombine(factors)
     reference_poly = parse_factored(case["gcd_factored"])
 
     computed_row = next(c for c in GCD_COMPUTED if c["q"] == case["q"])
@@ -109,7 +111,7 @@ def test_acceptance_1_reference_gcd_table(case):
         if math.gcd(u, v) != 1:
             continue
         s2_u = poly_from_seq(decimate(seq, u))
-        g_u = gcd(x_pow_plus_one(v), s2_u)
+        g_u = recombine(gcd_factors(v, s2_u))
         if g_u == reference_poly:
             matches.append(u)
     if matches:
@@ -131,15 +133,15 @@ def test_computed_gcd_table_regression():
         ctx, seq, s2 = field_bundle(case["p"], case["m"])
         echo = ctx.describe()
         assert echo["modulus"] == case["modulus"] and echo["alpha"] == case["alpha"]
-        g = gcd(x_pow_plus_one(seq.v), s2)
-        assert factored_str(factor(g, seq.v)) == case["gcd_factored"]
-        assert seq.v - g.degree == case["linear_complexity"]
+        factors = gcd_factors(seq.v, s2)
+        assert factored_str(factors) == case["gcd_factored"]
+        assert seq.v - recombine(factors).degree == case["linear_complexity"]
 
 
 def test_acceptance_2_quintic_factor_at_q361():
     t0 = time.perf_counter()
     ctx, seq, s2 = field_bundle(19, 2)
-    g = gcd(x_pow_plus_one(360), s2)
+    g = recombine(gcd_factors(360, s2))
     target = all_ones_poly(5)
     assert divides(target, g)
     ideals = ideal_factors(5)

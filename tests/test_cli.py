@@ -229,6 +229,17 @@ def test_k_beyond_trial_division_is_refused_quickly(capsys, command):
     assert err.startswith(f"error: cannot find the order of 3 modulo {k}: trial division to 1048576")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+def test_verify_refuses_a_q_too_long_to_print(capsys, fmt):
+    # Python converts an int of at most 4300 decimal digits to str by default: 3^9012 has 4300
+    rc, out = run(["verify", "-p", "3", "-m", "9012", "-k", "5", "--predict-only", *fmt])
+    assert rc == 0 and str(3**9012) in out
+    for m in (9013, 10000):
+        rc, out = run(["verify", "-p", "3", "-m", str(m), "-k", "5", "--predict-only", *fmt])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: q = 3^{m} has more than 4300 decimal digits")
+
+
 def test_prime_k_beyond_trial_division_reaches_the_predictor(capsys):
     # k = 4398046511119 is prime, 43 bits: trial division stops at 2^20 and Miller-Rabin certifies it
     rc, out = run(["predict", "-p", "131941395333571", "-m", "1", "-k", "4398046511119"])

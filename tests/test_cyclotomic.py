@@ -14,6 +14,7 @@ from oracles import (
     divides,
     dlog,
     half_K_plus_one,
+    poly_from_seq,
     power,
     reduce_by_long_division,
     reduce_mod_ideal,
@@ -35,7 +36,7 @@ from slce.cyclotomic import (
     jacobi_with_rho,
 )
 from slce.fields import build_field, divisors
-from slce.gf2poly import Gf2Poly, poly_from_seq
+from slce.gf2poly import Gf2Poly
 from slce.sequences import generate
 
 

@@ -22,8 +22,10 @@ from oracles import (
     lfsr_regenerate,
     linear_complexity,
     minimal_polys_of_order,
+    poly_from_seq,
     recombine,
     smallest_irreducible,
+    x_pow_plus_one,
 )
 from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import cyclotomic_poly, ideal_factors
@@ -39,12 +41,10 @@ from slce.gf2poly import (
     _times_binomials,
     Gf2Poly,
     cyclotomic_mod2,
-    factor,
     factor_squarefree,
     factored_str,
     gcd,
-    poly_from_seq,
-    x_pow_plus_one,
+    gcd_factors,
 )
 from slce.sequences import generate
 
@@ -61,6 +61,8 @@ def test_poly_basics():
     assert (f + f).is_zero()
     q, r = map(Gf2Poly, _divmod_int(f.bits, X.bits))
     assert q * X + r == f
+    assert Gf2Poly(3) != 3  # no int equals a Gf2Poly, so == agrees with the hash
+    assert 3 not in {Gf2Poly(3)}
 
 
 @given(bits=st.one_of(polys.map(lambda f: f.bits), st.integers(min_value=1, max_value=(1 << 3000) - 1)))
@@ -97,8 +99,7 @@ def test_gcd_fixtures():
 
 def test_gcd_reference_q25():
     seq = generate(build_field(5, 2))
-    g = gcd(poly_from_seq(seq), x_pow_plus_one(24))
-    assert factored_str(factor(g, 24)) == "(x+1)^4"
+    assert factored_str(gcd_factors(24, poly_from_seq(seq))) == "(x+1)^4"
 
 
 @given(a=polys, b=polys, c=polys)
@@ -132,9 +133,7 @@ def binomial_gcd_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_gcd_with_binomial_matches_euclid(case):
     v, s = case
-    want = gcd_by_divmod((1 << v) | 1, s)
-    assert gcd(x_pow_plus_one(v), Gf2Poly(s)).bits == want
-    assert gcd(Gf2Poly(s), x_pow_plus_one(v)).bits == want
+    assert recombine(gcd_factors(v, Gf2Poly(s))).bits == gcd_by_divmod((1 << v) | 1, s)
 
 
 def test_gcd_with_binomial_matches_euclid_on_every_field_to_3000():
@@ -142,7 +141,7 @@ def test_gcd_with_binomial_matches_euclid_on_every_field_to_3000():
     assert len(fields) == 455
     for q, p, m in fields:
         s2 = poly_from_seq(generate(build_field(p, m)))
-        assert gcd(x_pow_plus_one(q - 1), s2).bits == gcd_by_divmod((1 << (q - 1)) | 1, s2.bits), q
+        assert recombine(gcd_factors(q - 1, s2)).bits == gcd_by_divmod((1 << (q - 1)) | 1, s2.bits), q
 
 
 def test_cyclotomic_mod2_is_phi_mod_2():
@@ -195,7 +194,7 @@ def test_gcd_with_binomial_matches_euclid_across_cyclotomic_factors(v):
             s = _mul_int(s, cyclotomic_mod2(d).bits)
     want = gcd_by_divmod((1 << v) | 1, s)
     assert want != 1
-    assert gcd(x_pow_plus_one(v), Gf2Poly(s)).bits == want
+    assert recombine(gcd_factors(v, Gf2Poly(s))).bits == want
 
 
 @given(
@@ -248,25 +247,23 @@ def test_square_matches_product(a):
 
 
 def test_factor_fixtures():
-    assert factor(Gf2Poly(0b111), 3) == [(Gf2Poly(0b111), 1)]  # irreducible quadratic
+    assert gcd_factors(3, Gf2Poly(0b111)) == [(Gf2Poly(0b111), 1)]  # irreducible quadratic
     # x^7 + 1: oracle below divides out all cubics exhaustively
     f = Gf2Poly((1 << 7) | 1)
-    got = factor(f, 7)
+    got = gcd_factors(7, f)
     cubics = [Gf2Poly(bits) for bits in range(0b1000, 0b10000) if divides(Gf2Poly(bits), f)]
     assert [g for g, _ in got] == sorted([Gf2Poly(0b11)] + cubics, key=lambda g: (g.degree, g.bits))
     assert all(e == 1 for _, e in got)
 
     p4 = Gf2Poly(0b11)
     p4 = p4 * p4 * p4 * p4
-    assert factor(p4, 4) == [(Gf2Poly(0b11), 4)]
-    with pytest.raises(ValueError):
-        factor(ONE, 4)
-    with pytest.raises(ValueError):
-        factor(Gf2Poly(0), 4)
-    with pytest.raises(ValueError):  # x^3 + x + 1 divides x^7 + 1, not x^6 + 1
-        factor(Gf2Poly(0b1011), 6)
-    with pytest.raises(ValueError):  # (x + 1)^8 does not divide x^12 + 1 = (x^3 + 1)^4
-        factor(p4 * p4, 12)
+    assert gcd_factors(4, p4) == [(Gf2Poly(0b11), 4)]
+    assert gcd_factors(4, ONE) == []
+    assert gcd_factors(6, Gf2Poly(0b1011)) == []  # x^3 + x + 1 divides x^7 + 1, not x^6 + 1
+    # (x + 1)^8 meets x^12 + 1 = (x + 1)^4 (x^2 + x + 1)^4 in (x + 1)^4
+    assert gcd_factors(12, p4 * p4) == [(Gf2Poly(0b11), 4)]
+    for v in [1, 4, 7, 12, 45, 96, 252]:  # gcd(x^v + 1, 0) = x^v + 1
+        assert gcd_factors(v, Gf2Poly(0)) == berlekamp_factor(x_pow_plus_one(v)), v
 
 
 @st.composite
@@ -285,8 +282,9 @@ def binomial_divisors(draw):
 @given(case=binomial_divisors())
 @settings(max_examples=150, deadline=None)
 def test_factor_matches_berlekamp_oracle(case):
+    # g | x^v + 1, so gcd(x^v + 1, g) = g
     g, v = case
-    assert factor(g, v) == berlekamp_factor(g)
+    assert gcd_factors(v, g) == berlekamp_factor(g)
 
 
 @given(bits=st.integers(min_value=2, max_value=(1 << 44) - 1))

@@ -6,8 +6,7 @@ import pytest
 
 from slce.cyclotomic import jacobi_K
 from slce.fields import build_field, is_prime
-from oracles import all_ones_poly, divides, minimal_polys_of_order
-from slce.gf2poly import poly_from_seq
+from oracles import all_ones_poly, divides, minimal_polys_of_order, poly_from_seq
 from slce.predict import (
     Index2Params,
     NoClosedForm,
