@@ -11,7 +11,8 @@ Subcommands:
   grid     verify swept over all odd prime powers q <= bound
 
 Exit codes: 0 = all checks match, 1 = a mismatch was found, 2 = usage
-error.  Output is deterministic for fixed flags; timing data is emitted
+error, 141 = stdout was closed before the report was written (the shell's
+code for a process ended by SIGPIPE).  Output is deterministic for fixed flags; timing data is emitted
 only when --timings is given so that default reports are byte-stable.
 There is no randomness anywhere (--seed-free is accepted as a no-op).
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -59,7 +61,7 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     if direct:
         t0 = time.perf_counter()
         seq = sequences.generate(ctx)
-        common_factors = gf2poly.gcd_factors(seq.v, gf2poly.Gf2Poly(seq.as_int()))
+        common_factors = gf2poly.gcd_factors(seq.v, gf2poly.Gf2Poly(seq.as_int()), multiplier=p)
         block["gcd_factored"] = gf2poly.factored_str(common_factors)
         block["linear_complexity"] = seq.v - sum(mult * h.degree for h, mult in common_factors)
         # each g of a row divides x^k + 1 | x^v + 1: g | S2 iff g is an irreducible factor of the gcd
@@ -395,6 +397,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone (`| head`); send what is still buffered to devnull,
+        # or the flush at exit raises again
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

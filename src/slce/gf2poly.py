@@ -15,18 +15,25 @@ time.  With v = 2^e * w and w odd, x^w + 1 is the product of the pairwise
 coprime Phi_d mod 2 over d | w.  Each Phi_d is a Moebius product of
 binomials x^c + 1, built and divided out by shifts and strided prefix
 xors (`_times_binomials`); s is reduced mod Phi_d through
-Psi_d = (x^d + 1)/Phi_d, with no long division, and Euclid runs on degree
-phi(d).  So Euclid costs the sum of phi(d)^2 rather than w^2, the same
-when w is prime.  Each G_d = gcd(Phi_d, s mod Phi_d) divides x^d + 1, d
-odd, so its factors are split apart by sums of x^j over 2-cyclotomic
-cosets, not by a general method (`factor_squarefree`, which also splits
-Phi_k mod 2 for the prime ideals above 2); the power 2^e enters only
-through each factor's multiplicity.  On a 2-core machine with Python
-3.11, `gcd_factors` took 0.006 s at v = 390,624 (q = 5^8), 0.02-0.03 s
-at v = 531,440 (3^12), 0.19 s at v = 371,292 (13^5), 0.28 s at
-v = 1,419,856 (17^5), 2.0-2.9 s at v = 823,542 (7^7) and 17-19 s at
-v = 1,594,322 (3^13, w prime); one Euclid on all of x^w + 1 took 0.07,
-0.14, 0.33, 0.39, 5.0 and 18 s.
+Psi_d = (x^d + 1)/Phi_d, with no long division.  Then Euclid runs on
+degree phi(d), which costs the sum of phi(d)^2 rather than w^2, the same
+when w is prime.  When the caller names a multiplier p (s(x^p) = s(x)
+mod x^v + 1, as for an SLCE sequence) and a cost model expects it to be
+cheaper, a certificate may settle G_d = 1 first, with t' - 1 float-FFT
+products, t' the number of <2, p>-orbits of (Z/d)*; for t' = 1 it needs
+no product, as G_d = 1 iff s mod Phi_d != 0 (`_multiplier_certificate`).
+Euclid still runs whenever the certificate does not show G_d = 1.  Each
+G_d = gcd(Phi_d, s mod Phi_d) divides x^d + 1, d odd, so its factors are
+split apart by sums of x^j over 2-cyclotomic cosets, not by a general
+method (`factor_squarefree`, which also splits Phi_k mod 2 for the prime
+ideals above 2); the power 2^e enters only through each factor's
+multiplicity.  On a 2-core machine with Python 3.11, `gcd_factors` with
+the SLCE multiplier took 0.004-0.005 s at v = 390,624 (q = 5^8, Euclid
+throughout), 0.015-0.018 s at v = 531,440 (3^12, Euclid throughout),
+0.011-0.016 s at v = 371,292 (13^5, Euclid alone 0.17-0.19 s),
+0.004 s at v = 1,419,856 (17^5, Euclid alone 0.22-0.28 s), 2.1-2.4 s at
+v = 823,542 (7^7, where t' = 52 and 104 keep Euclid) and 0.18 s at
+v = 1,594,322 (3^13, w prime; Euclid alone 17-19 s).
 
 Degree of the zero polynomial is the sentinel -1; nonzero polynomials over
 GF(2) are automatically monic.
@@ -34,11 +41,12 @@ GF(2) are automatically monic.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .fields import divisors, mobius_factors, multiplicative_order
+from .fields import divisors, mobius_factors, multiplicative_order, prime_factors
 
 # byte -> bits interleaved with zeros (for squaring)
 _SPREAD = [sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)]
@@ -230,8 +238,7 @@ class Gf2Poly:
     def __str__(self) -> str:
         if self.bits == 0:
             return "0"
-        packed = np.frombuffer(self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-        exponents = np.flatnonzero(np.unpackbits(packed, bitorder="little"))[::-1].tolist()
+        exponents = np.flatnonzero(_coefficients(self.bits, self.bits.bit_length()))[::-1].tolist()
         return "+".join("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in exponents)
 
     def __repr__(self) -> str:
@@ -287,7 +294,124 @@ def factor_squarefree(f: Gf2Poly, n: int) -> list[Gf2Poly]:
     return sorted(map(Gf2Poly, pieces), key=lambda g: g.bits)
 
 
-def gcd_factors(v: int, s: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
+# ---------------------------------------------------------------------------
+# A multiplier certificate for gcd(Phi_d, r) = 1.  Let r(x^p) = r(x) mod
+# x^d + 1 with p prime to d, and beta a root of Phi_d.  Then r(beta^(pj)) =
+# r(beta^j) and r(beta^(2j)) = r(beta^j)^2, so the zeros of r among the
+# roots beta^j, j in (Z/d)*, form a union of orbits of <2, p>.  Multiplying
+# j by a unit permutes the orbits, so N = prod r(x^a), over one a per orbit,
+# vanishes at every root of Phi_d or at none: gcd(Phi_d, r) = 1 exactly when
+# N mod Phi_d != 0.  Each r(x^a) is an index gather and each product one
+# float FFT of 0/1 arrays, whose exact coefficients are at most d (below
+# 2^21 for every field the CLI builds, far inside float64's 2^53).
+# ---------------------------------------------------------------------------
+
+
+def _coefficients(a: int, n: int) -> np.ndarray:
+    """Coefficients 0 .. n - 1 of a as a uint8 array; a has degree < n."""
+    packed = np.frombuffer(a.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def _smooth_length(n: int) -> int:
+    """The least 2^i 3^j 5^k >= n: an FFT length numpy transforms by small radices."""
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            length = odd << ((n - 1) // odd).bit_length()  # least odd * 2^i >= n
+            best = min(best, length)
+            odd *= 3
+        fives *= 5
+    return best
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The linear convolution of a and b as n floats, n >= len(a) + len(b) - 1."""
+    spectrum = np.fft.rfft(a, n)
+    spectrum *= np.fft.rfft(b, n)
+    return np.fft.irfft(spectrum, n)
+
+
+def _product_mod2(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray | None:
+    """a * b mod (x^d + 1) over GF(2), for 0/1 arrays of length d; None if the floats are not near integers."""
+    product = _convolve(a, b, _smooth_length(2 * d - 1))[: 2 * d - 1]
+    exact = np.rint(product)
+    if np.abs(product - exact).max() >= 0.25:  # the largest error seen is about 1e-10
+        return None
+    del product
+    coeffs = exact.astype(np.int64)
+    del exact
+    coeffs[: d - 1] += coeffs[d:]  # x^d = 1
+    return (coeffs[:d] & 1).astype(np.uint8)
+
+
+def _multiplier_group(d: int, p: int) -> np.ndarray:
+    """The elements of the subgroup <2, p> of (Z/d)*, d > 1 odd and p prime to d, in no set order."""
+    order = multiplicative_order(2, d)
+    twos = np.ones(1, dtype=np.int64)
+    while twos.size < order:  # 2^(n + i) = 2^n * 2^i
+        twos = np.concatenate([twos, twos * pow(2, twos.size, d) % d])
+    twos = twos[:order]
+    in_twos = np.zeros(d, dtype=bool)
+    in_twos[twos] = True
+    steps = [1]  # p^i for i below the least j with p^j in <2>
+    while not in_twos[steps[-1] * p % d]:
+        steps.append(steps[-1] * p % d)
+    return (np.array(steps, dtype=np.int64)[:, None] * twos % d).ravel()
+
+
+def _multiplier_certificate(r: int, d: int, p: int, group: np.ndarray) -> bool | None:
+    """Whether gcd(Phi_d, r) = 1, r of degree < d, from the multiplier p; group is `_multiplier_group(d, p)`.
+
+    None when it cannot tell: r(x^p) != r(x) mod x^d + 1, or a float
+    product is not near integers.
+    """
+    coeffs = _coefficients(r, d)
+    index = np.arange(d, dtype=np.int64)
+    if not np.array_equal(coeffs[index * (p % d) % d], coeffs):
+        return None
+    unseen = np.ones(d, dtype=bool)  # units of Z/d in no orbit so far
+    for ell in prime_factors(d):
+        unseen[::ell] = False
+    unseen[group] = False  # the orbit of 1
+    product = coeffs
+    while unseen.any():
+        a = int(np.argmax(unseen))
+        unseen[group * a % d] = False
+        product = _product_mod2(product, coeffs[index * pow(a, -1, d) % d], d)  # times r(x^a)
+        if product is None:
+            return None
+    return _mod_cyclotomic(Gf2Poly.from_coeffs(product).bits, d) != 0
+
+
+# Cost model, in seconds on a 2-core x86-64 machine with Python 3.11 and
+# numpy 2.4, fitted at d = 4,069 to 797,161: Euclid on degree phi(d) takes
+# about 3e-11 * phi(d)^2; the certificate's set-up (the group, the gather
+# check, the orbit marks) about 1e-4 + 4e-8 * d; and each of its t' - 1
+# products, t' the number of orbits, about 4e-9 * n log2 n at FFT length n.
+_EUCLID_S = 3e-11
+_SETUP_S = 1e-4
+_SETUP_PER_D_S = 4e-8
+_PRODUCT_S = 4e-9
+
+
+def _coprime_by_multiplier(f: int, d: int, p: int) -> bool:
+    """True when the multiplier certificate is cheaper than Euclid and shows gcd(Phi_d, f) = 1."""
+    phi = _cyclotomic_plan(d)[0].bit_length() - 1
+    euclid = _EUCLID_S * phi * phi
+    setup = _SETUP_S + _SETUP_PER_D_S * d
+    if setup >= euclid or math.gcd(p, d) != 1:
+        return False
+    group = _multiplier_group(d, p)
+    n = _smooth_length(2 * d - 1)
+    if setup + (phi // group.size - 1) * _PRODUCT_S * n * math.log2(n) >= euclid:
+        return False
+    return _multiplier_certificate(_fold(f, d), d, p, group) is True
+
+
+def gcd_factors(v: int, s: Gf2Poly, multiplier: int | None = None) -> list[tuple[Gf2Poly, int]]:
     """gcd(x^v + 1, s) as (irreducible, multiplicity) pairs, sorted by (degree, bit pattern).
 
     With v = 2^e * w and w odd, x^v + 1 = (x^w + 1)^(2^e), and x^w + 1 is
@@ -299,13 +423,22 @@ def gcd_factors(v: int, s: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
     times, which is deg gcd(h^(2^e), s mod h^(2^e)) / deg h; h^(2^e)
     divides x^(d 2^e) + 1, so s may first be folded mod that binomial.
     s = 0 gives the factorization of x^v + 1.
+
+    A multiplier p, an integer with s(x^p) = s(x) mod x^v + 1 (the SLCE
+    support set is fixed by t -> p t), lets a G_d = 1 be certified without
+    Euclid where the cost model expects that to be cheaper
+    (`_coprime_by_multiplier`); the property is checked, and Euclid runs
+    whenever the certificate does not settle G_d = 1.
     """
     e = (v & -v).bit_length() - 1
     w = v >> e
     f = _fold(s.bits, w)
     found = []
     for d in divisors(w):
-        g = _gcd_int(_cyclotomic_plan(d)[0], _mod_cyclotomic(f, d))
+        rem = _mod_cyclotomic(f, d)
+        if rem and multiplier is not None and _coprime_by_multiplier(f, d, multiplier):
+            continue
+        g = _gcd_int(_cyclotomic_plan(d)[0], rem)
         if g == 1:
             continue
         folded = _fold(s.bits, d << e)

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import field_bundle
 from oracles import divides
+import slce
 from slce.cli import _odd_prime_powers_upto, _verify_rows, main
 from slce.cyclotomic import ideal_factors
 
@@ -318,3 +323,28 @@ def test_timings_flag_included_only_on_request():
     assert "timings" not in json.loads(out)
     rc, out = run(["verify", "-p", "5", "-m", "2", "--json", "--timings"])
     assert "timings" in json.loads(out)
+
+
+class _ClosedPipe(io.StringIO):
+    """An output whose reader has gone, as stdout is under `| head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_output_ends_quietly(capsys):
+    assert main(["verify", "-p", "3", "-m", "2000", "-k", "5", "--predict-only"], out=_ClosedPipe()) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_ends_without_a_traceback():
+    # the read end is closed before the report is written, so the first flush fails
+    src = str(Path(slce.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [sys.executable, "-m", "slce.cli", "verify", "-p", "3", "-m", "2000", "-k", "5", "--predict-only"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 141
+    assert err == b""

@@ -30,13 +30,18 @@ from oracles import (
 from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import cyclotomic_poly, ideal_factors
 from slce.fields import build_field, divisors
+from slce import gf2poly
 from slce.gf2poly import (
+    _cyclotomic_plan,
     _divmod_int,
     _fold,
     _gcd_int,
     _mod_cyclotomic,
     _mod_int,
     _mul_int,
+    _multiplier_certificate,
+    _multiplier_group,
+    _smooth_length,
     _sqr_int,
     _times_binomials,
     Gf2Poly,
@@ -195,6 +200,102 @@ def test_gcd_with_binomial_matches_euclid_across_cyclotomic_factors(v):
     want = gcd_by_divmod((1 << v) | 1, s)
     assert want != 1
     assert recombine(gcd_factors(v, Gf2Poly(s))).bits == want
+
+
+def _certificate_cases(p, m):
+    """(d, r, p) for every d > 1 dividing the odd part w of v = q - 1, r = S2 mod x^d + 1."""
+    v = p**m - 1
+    w = v >> ((v & -v).bit_length() - 1)
+    f = _fold(generate(build_field(p, m)).as_int(), w)
+    return [(d, _fold(f, d), p) for d in divisors(w)[1:]]
+
+
+def _check_certificate(d, r, p):
+    """The certificate agrees with Euclid on Phi_d; returns (t' = 1, verdict)."""
+    group = _multiplier_group(d, p)
+    verdict = _multiplier_certificate(r, d, p, group)
+    assert verdict == (_gcd_int(_cyclotomic_plan(d)[0], r) == 1), (p, d)
+    return cyclotomic_mod2(d).degree == group.size, verdict
+
+
+def test_multiplier_certificate_matches_euclid_on_every_field_to_3000():
+    outcomes = set()
+    for q, p, m in _odd_prime_powers_upto(3000):
+        for d, r, p in _certificate_cases(p, m):
+            outcomes.add(_check_certificate(d, r, p))
+    # one orbit and several, each with G_d = 1 and G_d != 1
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "p,m,outcomes",
+    [(13, 5, {(True, True), (False, True)}), (17, 5, {(True, True)})],  # 13^5 has two orbits at d = 92,823
+)
+def test_multiplier_certificate_matches_euclid_at_long_periods(p, m, outcomes):
+    assert {_check_certificate(*case) for case in _certificate_cases(p, m)} == outcomes
+    s = Gf2Poly(generate(build_field(p, m)).as_int())
+    assert gcd_factors(p**m - 1, s, multiplier=p) == gcd_factors(p**m - 1, s)
+
+
+def test_multiplier_group_is_generated_by_2_and_p():
+    for d, p in [(7, 3), (15, 7), (91, 3), (105, 11), (1023, 5), (4069, 5)]:
+        want, frontier = {1}, [1]
+        while frontier:
+            a = frontier.pop()
+            for b in (2 * a % d, p * a % d):
+                if b not in want:
+                    want.add(b)
+                    frontier.append(b)
+        got = _multiplier_group(d, p)
+        assert sorted(got.tolist()) == sorted(want), (d, p)
+
+
+def test_certificate_falls_back_when_p_is_not_a_multiplier():
+    v, p = 13**5 - 1, 13
+    s = generate(build_field(13, 5)).as_int() ^ 2  # flip the coefficient of x: D is no longer fixed by t -> 13 t
+    for d in [30941, 92823]:
+        assert _multiplier_certificate(_fold(s, d), d, p, _multiplier_group(d, p)) is None
+    assert gcd_factors(v, Gf2Poly(s), multiplier=p) == gcd_factors(v, Gf2Poly(s))
+    assert gcd_factors(v, Gf2Poly(s), multiplier=p) == gcd_factors(v, Gf2Poly(s), multiplier=3)
+
+
+def test_certificate_of_zero_and_one():
+    for d, p in [(7, 3), (15, 7), (73, 3), (4069, 5)]:
+        # 0 vanishes at every root of Phi_d, 1 at none
+        assert _multiplier_certificate(0, d, p, _multiplier_group(d, p)) is False
+        assert _multiplier_certificate(1, d, p, _multiplier_group(d, p)) is True
+    for v in [1, 4, 7, 12, 45, 96, 252]:
+        assert gcd_factors(v, Gf2Poly(0), multiplier=5) == berlekamp_factor(x_pow_plus_one(v)), v
+
+
+def test_rounding_guard_falls_back_to_euclid(monkeypatch):
+    s = Gf2Poly(generate(build_field(13, 5)).as_int())
+    want = gcd_factors(13**5 - 1, s)
+    calls = []
+    convolve = gf2poly._convolve
+
+    def off_by_three_tenths(a, b, n):
+        calls.append(n)
+        return convolve(a, b, n) + 0.3
+
+    monkeypatch.setattr(gf2poly, "_convolve", off_by_three_tenths)
+    d, p = 92823, 13
+    assert _multiplier_certificate(_fold(s.bits, d), d, p, _multiplier_group(d, p)) is None
+    calls.clear()
+    assert gcd_factors(13**5 - 1, s, multiplier=13) == want
+    assert calls  # the certificate ran, failed its guard, and Euclid decided
+
+
+def test_smooth_length_is_the_least_5_smooth_bound():
+    def smooth(n):
+        for f in (2, 3, 5):
+            while n % f == 0:
+                n //= f
+        return n == 1
+
+    for n in range(1, 3000):
+        want = next(k for k in range(n, 2 * n + 1) if smooth(k))
+        assert _smooth_length(n) == want, n
 
 
 @given(
