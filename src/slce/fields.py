@@ -9,10 +9,15 @@ both, so results are reproducible bit for bit.
 All arithmetic goes through the companion matrix C of the modulus f, the
 matrix of multiplication by x on GF(p)[x]/(f): an element g is the matrix
 g(C), whose column i holds the coordinates of g * x^i.  The full tables
-(alpha^t by exponent, discrete log by element, and the log of 1 - alpha^t)
-turn character sums and sequence constructions into O(q) array lookups.
-Intended scale is q up to FIELD_SIZE_BOUND; memory is three int64 arrays
-of length about q.
+(alpha^t by exponent, discrete log by element, and the Zech logarithm, the
+log of 1 - alpha^t) turn character sums and sequence constructions into
+O(q) array lookups.  The exponent table comes from giant steps by a power
+of the matrix of alpha, in float64 so that the products run in BLAS; they
+are exact because m (p - 1)^2 + p < 2^53 for every field up to
+FIELD_SIZE_BOUND.  The Zech table is read off the other two through
+-1 = alpha^((q-1)/2): 1 - alpha^t = -(alpha^t - 1), and alpha^t - 1 differs
+from alpha^t in the constant coordinate only.  Intended scale is q up to
+FIELD_SIZE_BOUND; memory is three int64 arrays of length about q.
 """
 
 from __future__ import annotations
@@ -135,7 +140,8 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over GF(p), int64 entries in [0, p).  Products stay below
+# Matrices over GF(p), entries in [0, p): int64, except in the giant steps of
+# FieldCtx._build_tables, which run in float64.  Products stay below
 # m * p^2, far inside int64 for every field up to FIELD_SIZE_BOUND.
 # ---------------------------------------------------------------------------
 
@@ -159,6 +165,22 @@ def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
         if not e:
             return out
         M = M @ M % p
+
+
+def _reduce_mod(Y: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Y mod p in place, for float64 Y holding integers in [0, 2^53 - p).
+
+    Y - p floor(Y / p) is exact there: with Y = k p + r, 0 <= r < p, the
+    quotient k + r/p lies at least 1/p below k + 1, more than half an ulp
+    of k + 1 because p (k + 1) <= Y + p < 2^53, so the correctly rounded
+    Y / p floors to k.  (np.fmod is exact too, but several times slower.)
+    `scratch`, of Y's shape, saves one temporary.
+    """
+    scratch = np.divide(Y, p, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= p
+    Y -= scratch
+    return Y
 
 
 def _invertible(M: np.ndarray, p: int) -> bool:
@@ -289,44 +311,69 @@ class FieldCtx:
         self._build_tables(A)
 
     def _build_tables(self, A: np.ndarray) -> None:
-        """exp, dlog and zech tables from A, the matrix of multiplication by alpha."""
+        """exp, dlog and zech tables from A, the matrix of multiplication by alpha.
+
+        The columns of X are the coordinates of alpha^t for one block of t,
+        and a giant step X <- A^block X mod p moves to the next block.  The
+        matrix products run in float64 (BLAS), which is exact: entries lie
+        in [0, p), so every partial sum of a dot product is an integer of at
+        most m (p - 1)^2, and that plus p stays below 2^53 for every field up
+        to FIELD_SIZE_BOUND (a test pins this), as `_reduce_mod` needs to
+        bring the products back into [0, p).  Codes sum to below q.
+
+        The Zech logarithm zech[t] = dlog(1 - alpha^t) needs no second pass
+        over the coordinates: -1 = alpha^(n/2), so 1 - alpha^t is
+        alpha^(n/2) (alpha^t - 1), and alpha^t - 1 differs from alpha^t only
+        in the constant coordinate c0.  Its code is exp[t] - c0 + (c0 - 1)
+        mod p, that is exp[t] - 1, or exp[t] + p - 1 when c0 = 0; then
+        zech[t] = dlog[that code] + n/2 mod n, and zech[0] = -1.
+        """
         p, m, q = self.p, self.m, self.q
         n = q - 1
         block = min(_BLOCK, n)
         # Columns 0..block-1 hold alpha^t, built by doubling: X = [X | A^w X]
         # with w the current width.  When n > block, block = _BLOCK is a power
         # of two, so the last A^w is A^block, the giant step between blocks.
-        X = np.zeros((m, 1), dtype=np.int64)
+        X = np.zeros((m, 1))
         X[0, 0] = 1
-        step = A
+        step = A.astype(np.float64)
         while X.shape[1] < block:
-            X = np.hstack([X, (step @ X[:, : block - X.shape[1]]) % p])
-            step = (step @ step) % p
+            X = np.hstack([X, _reduce_mod(step @ X[:, : block - X.shape[1]], p)])
+            step = _reduce_mod(step @ step, p)
 
-        pow_p = p ** np.arange(m, dtype=np.int64)
+        pow_p = p ** np.arange(m, dtype=np.float64)
         exp = np.empty(n, dtype=np.int64)
-        one_minus_code = np.empty(n, dtype=np.int64)
+        zech = np.empty(n, dtype=np.int64)  # the code of alpha^t - 1 until dlog is known
+        dlog = np.full(q, -1, dtype=np.int64)
+        codes = np.empty(block)
+        next_X = np.empty_like(X)
+        scratch = np.empty_like(X)
 
         start = 0
         while start < n:
             width = min(block, n - start)
-            Xb = X[:, :width]
-            exp[start : start + width] = pow_p @ Xb
-            Y = (-Xb) % p
-            Y[0, :] = (1 - Xb[0, :]) % p
-            one_minus_code[start : start + width] = pow_p @ Y
+            np.matmul(pow_p, X, out=codes)
+            exp[start : start + width] = codes[:width]
+            dlog[exp[start : start + width]] = np.arange(start, start + width)
+            codes += p * (X[0] == 0) - 1
+            zech[start : start + width] = codes[:width]
             start += width
             if start < n:
-                X = (step @ X) % p
+                _reduce_mod(np.matmul(step, X, out=next_X), p, scratch)
+                X, next_X = next_X, X
 
-        dlog = np.full(q, -1, dtype=np.int64)
-        dlog[exp] = np.arange(n, dtype=np.int64)
-        if int((dlog >= 0).sum()) != n or dlog[0] != -1:
+        if np.count_nonzero(dlog < 0) != 1 or dlog[0] != -1:
             raise RuntimeError("exponent table is not a bijection; element is not primitive")
+
+        for start in range(0, n, block):
+            zech[start : start + block] = dlog[zech[start : start + block]]
+        zech += n // 2
+        zech %= n
+        zech[0] = -1  # 1 - alpha^0 = 0
 
         self.exp_table = exp
         self.dlog_table = dlog
-        self.zech_table = dlog[one_minus_code]  # dlog(1 - alpha^t); -1 at t = 0
+        self.zech_table = zech
         for arr in (self.exp_table, self.dlog_table, self.zech_table):
             arr.setflags(write=False)
 

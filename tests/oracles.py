@@ -19,6 +19,15 @@ of x^v + 1, `poly_from_seq` the sequence polynomial) and Berlekamp-Massey
 give the linear complexity two ways, from the gcd and from the shortest
 register.
 
+`tables_by_int64` builds the exp, dlog and Zech tables with int64 giant
+steps and a second coordinate pass for 1 - alpha^t, the oracle of
+`slce.fields.FieldCtx._build_tables`.  `bits_by_mark` builds the sequence
+by marking the codes of D = {alpha^(2i+1) - 1} and looking up each
+alpha^t, the oracle of `slce.sequences.generate`, which reads the parity
+of the Zech table.  `support_set`, the sets Y and Z, `lce_shift_check`
+(Z = (-4)^(-1) D), pointwise `autocorrelation` and `decimate` check the
+sequence's structure.
+
 `reduce_by_long_division` is the row-by-row monic long division by Phi_k
 that `slce.cyclotomic._reduce` replaced; `half_K_plus_one` and
 `reduce_mod_ideal` are the element-level path through Z[zeta_k] that
@@ -37,6 +46,7 @@ tables and the vectorised constructions built on them.
 """
 
 import warnings
+from dataclasses import dataclass
 from itertools import product
 from math import gcd as intgcd
 
@@ -46,6 +56,7 @@ from slce import cyclotomic
 from slce.cyclotomic import CycInt, cyclotomic_poly
 from slce.fields import FieldCtx, FieldElt, divisors, multiplicative_order, prime_factors
 from slce.gf2poly import Gf2Poly, _divmod_int, _gcd_int, _mod_int, _mul_int, _sqr_int, gcd
+from slce.sequences import BitSeq
 
 X = Gf2Poly(2)
 ONE = Gf2Poly(1)
@@ -541,6 +552,149 @@ def field_by_lists(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], np
         column = pmulmod(list(alpha), [0] * i + [1], f, p)
         A[: len(column), i] = column
     return tuple(f), alpha, A
+
+
+# ---------------------------------------------------------------------------
+# Field tables and SLCE sequences by the constructions the package replaced.
+# ---------------------------------------------------------------------------
+
+
+def tables_by_int64(p: int, m: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exp, dlog, zech) of GF(p^m) from A, the matrix of multiplication by alpha.
+
+    Giant steps X <- A^block X mod p in int64, and a second pass over the
+    coordinates of every block that encodes 1 - alpha^t for the Zech table.
+    """
+    q = p**m
+    n = q - 1
+    block = min(4096, n)
+    X = np.zeros((m, 1), dtype=np.int64)
+    X[0, 0] = 1
+    step = A
+    while X.shape[1] < block:
+        X = np.hstack([X, (step @ X[:, : block - X.shape[1]]) % p])
+        step = (step @ step) % p
+
+    pow_p = p ** np.arange(m, dtype=np.int64)
+    exp = np.empty(n, dtype=np.int64)
+    one_minus_code = np.empty(n, dtype=np.int64)
+    start = 0
+    while start < n:
+        width = min(block, n - start)
+        Xb = X[:, :width]
+        exp[start : start + width] = pow_p @ Xb
+        Y = (-Xb) % p
+        Y[0, :] = (1 - Xb[0, :]) % p
+        one_minus_code[start : start + width] = pow_p @ Y
+        start += width
+        if start < n:
+            X = (step @ X) % p
+
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[exp] = np.arange(n, dtype=np.int64)
+    return exp, dlog, dlog[one_minus_code]
+
+
+def _minus_one_codes(ctx: FieldCtx, codes: np.ndarray) -> np.ndarray:
+    """Encoded x - 1 for each encoded x (constant coordinate decrement)."""
+    c0 = codes % ctx.p
+    return codes - c0 + (c0 - 1) % ctx.p
+
+
+def _support_mark(ctx: FieldCtx) -> np.ndarray:
+    """mark[c] is True iff element code c is in D (a boolean array of length q)."""
+    q = ctx.q
+    odd_exp = np.arange(1, q - 1, 2, dtype=np.int64)
+    mark = np.zeros(q, dtype=bool)
+    mark[_minus_one_codes(ctx, ctx.exp_table[odd_exp])] = True
+    mark[0] = False
+    return mark
+
+
+def bits_by_mark(ctx: FieldCtx) -> np.ndarray:
+    """One period of the SLCE sequence: bits[t] = 1 iff alpha^t is marked as a member of D."""
+    return _support_mark(ctx)[ctx.exp_table].astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class SupportSet:
+    """Support set D of an SLCE sequence: exponents and element codes.
+
+    `exponents` holds the t with alpha^t in D, `element_codes` the encoded
+    elements themselves; both sorted ascending.  Exactly half the nonzero
+    elements belong to D.
+    """
+
+    ctx: FieldCtx
+    exponents: np.ndarray
+    element_codes: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.exponents.size)
+
+
+def support_set(ctx: FieldCtx) -> SupportSet:
+    """D = { alpha^(2i+1) - 1 : 0 <= i <= q-2 }, minus zero, deduplicated."""
+    codes = np.flatnonzero(_support_mark(ctx))
+    exp_mark = np.zeros(ctx.q - 1, dtype=bool)
+    exp_mark[ctx.dlog_table[codes]] = True
+    return SupportSet(ctx=ctx, exponents=np.flatnonzero(exp_mark), element_codes=codes)
+
+
+def autocorrelation(seq: BitSeq, tau: int) -> int:
+    """C_tau = sum over i of (-1)^(bits[i] + bits[i+tau])."""
+    shifted = np.roll(seq.bits, -tau)
+    disagreements = int(np.count_nonzero(seq.bits ^ shifted))
+    return seq.v - 2 * disagreements
+
+
+def _y_codes(ctx: FieldCtx) -> np.ndarray:
+    """Encoded nonzero values x(1-x); uses 1 - alpha^i = alpha^zech(i)."""
+    q = ctx.q
+    i = np.arange(1, q - 1, dtype=np.int64)  # i = 0 gives x = 1, x(1-x) = 0
+    y_exp = (i + ctx.zech_table[i]) % (q - 1)
+    return np.unique(ctx.exp_table[y_exp])
+
+
+def _z_codes(ctx: FieldCtx) -> np.ndarray:
+    nonzero = ctx.exp_table  # all nonzero codes, as a set
+    return np.setdiff1d(nonzero, _y_codes(ctx))
+
+
+def set_Y(ctx: FieldCtx) -> frozenset[FieldElt]:
+    """Y: the nonzero field values representable as x(1-x) with x nonzero."""
+    return frozenset(ctx.decode(int(c)) for c in _y_codes(ctx))
+
+
+def set_Z(ctx: FieldCtx) -> frozenset[FieldElt]:
+    """Z: complement of Y among the nonzero elements."""
+    return frozenset(ctx.decode(int(c)) for c in _z_codes(ctx))
+
+
+def lce_shift_check(ctx: FieldCtx) -> bool:
+    """Structural self-test: Z equals (-4)^(-1) * D."""
+    d = support_set(ctx)
+    code_m4 = ctx.encode(ctx.from_int(-4))
+    shift = (-int(ctx.dlog_table[code_m4])) % (ctx.q - 1)
+    shifted_exp = (ctx.dlog_table[d.element_codes] + shift) % (ctx.q - 1)
+    shifted_codes = np.sort(ctx.exp_table[shifted_exp])
+    return np.array_equal(shifted_codes, np.sort(_z_codes(ctx)))
+
+
+def decimate(seq: BitSeq, u: int) -> BitSeq:
+    """The u-decimation bits[u*t mod v]: the sequence for alpha^u, gcd(u, v) = 1.
+
+    Swapping the primitive element alpha for alpha^u permutes the time axis
+    of the sequence by t -> u*t, so every alternative generator's sequence
+    is a decimation of the canonical one.
+    """
+    if intgcd(u, seq.v) != 1:
+        raise ValueError(f"u = {u} is not coprime to the period {seq.v}")
+    idx = (u * np.arange(seq.v, dtype=np.int64)) % seq.v
+    bits = seq.bits[idx]
+    bits.setflags(write=False)
+    return BitSeq(bits=bits, v=seq.v)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from conftest import field_bundle
 from oracles import (
     all_ones_poly,
     berlekamp_massey,
+    decimate,
     divides,
+    lce_shift_check,
     linear_complexity,
     minimal_polys_of_order,
     poly_from_seq,
@@ -39,7 +41,7 @@ from slce.fields import is_prime
 from slce.gaussnum import REL_TOL, check_identities, modulus_suite
 from slce.gf2poly import Gf2Poly, factored_str, gcd_factors
 from slce.predict import closed_form_pure_K, predict_index2, predict_pure, pure_case_params
-from slce.sequences import autocorrelation_profile, decimate, lce_shift_check
+from slce.sequences import autocorrelation_profile
 
 GCD_REFERENCE = json.load(open("fixtures/gcd_reference.json"))["cases"]
 GCD_COMPUTED = json.load(open("fixtures/gcd_computed.json"))["cases"]

@@ -5,7 +5,21 @@ import pytest
 
 import numpy as np
 
-from oracles import add, dlog, field_by_lists, inv, is_irreducible_by_gcd, mul, power, ppowmod, psub, sub, trace
+from conftest import ORACLE_FIELDS
+from oracles import (
+    add,
+    dlog,
+    field_by_lists,
+    inv,
+    is_irreducible_by_gcd,
+    mul,
+    power,
+    ppowmod,
+    psub,
+    sub,
+    tables_by_int64,
+    trace,
+)
 from slce import fields
 from slce.cli import _odd_prime_powers_upto
 from slce.fields import (
@@ -181,6 +195,54 @@ def test_tables_match_powering_at_block_boundaries():
         one_minus[0] = (1 - a[0]) % p
         assert alpha_pow(int(ctx.zech_table[t])) == one_minus, t
         assert int(traces[t]) == trace(ctx, FieldElt(tuple(a))), t
+
+
+def test_tables_match_int64_oracle():
+    assert len(ORACLE_FIELDS) == 455 + 7
+    for p, m in ORACLE_FIELDS:
+        ctx = build_field(p, m)
+        _, A = _primitive_element(p, m, _companion(ctx.modulus, p))
+        exp, dlog_, zech = tables_by_int64(p, m, A)
+        assert np.array_equal(ctx.exp_table, exp), (p, m)
+        assert np.array_equal(ctx.dlog_table, dlog_), (p, m)
+        assert np.array_equal(ctx.zech_table, zech), (p, m)
+        assert ctx.exp_table.dtype == ctx.dlog_table.dtype == ctx.zech_table.dtype == np.int64
+
+
+def test_float_giant_steps_are_exact_up_to_the_size_bound():
+    # _build_tables multiplies matrices with entries in [0, p) in float64: every partial sum
+    # of a dot product is an integer of at most m (p - 1)^2, exact below 2^53, and _reduce_mod
+    # needs that plus p below 2^53
+    bound = fields.FIELD_SIZE_BOUND
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for r in range(2, math.isqrt(bound) + 1):
+        if sieve[r]:
+            sieve[r * r :: r] = False
+    odd_primes = np.flatnonzero(sieve)[1:]
+    worst = []  # for each m, the largest m (p - 1)^2 + p is at the largest p with p^m <= bound
+    for m in range(1, bound.bit_length()):
+        root = int(bound ** (1 / m)) + 1
+        while root**m > bound:
+            root -= 1
+        fit = odd_primes[odd_primes <= root]
+        if fit.size:
+            p = int(fit[-1])
+            worst.append((m * (p - 1) ** 2 + p, p, m))
+    largest, p, m = max(worst)
+    assert largest < 2**53
+    assert (p, m) == (1999993, 1)  # the field of the CI's largest gcd step
+
+
+def test_reduce_mod_is_exact_up_to_its_bound():
+    rng = np.random.default_rng(13)
+    for p in (3, 13, 1999993, 2**26 - 5, 2**31 - 1):
+        k_max = (2**53 - p) // p - 1  # the largest k with k p + p - 1 < 2^53 - p
+        ks = np.concatenate([[0, 1, k_max], rng.integers(0, k_max, 2000, endpoint=True)])
+        rs = np.concatenate([[0, 1, p - 1], rng.integers(0, p, 2000)])
+        Y = [int(k) * p + int(r) for k in ks for r in rs[:3]] + [int(k) * p + int(r) for k, r in zip(ks, rs)]
+        got = fields._reduce_mod(np.array(Y, dtype=np.float64), p)
+        assert [int(y) % p for y in Y] == got.astype(np.int64).tolist(), p
 
 
 def test_field_ops():

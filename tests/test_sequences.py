@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import mul, power, sub
+from conftest import ORACLE_FIELDS
+from oracles import autocorrelation, bits_by_mark, decimate, lce_shift_check, mul, power, set_Y, set_Z, sub, support_set
 from slce.fields import build_field
-from slce.sequences import (
-    autocorrelation,
-    autocorrelation_csv,
-    autocorrelation_profile,
-    decimate,
-    generate,
-    lce_shift_check,
-    sequence_text,
-    set_Y,
-    set_Z,
-    support_set,
-)
+from slce.sequences import autocorrelation_csv, autocorrelation_profile, generate, sequence_text
 
 
 def brute_support_codes(ctx):
@@ -65,6 +55,14 @@ def test_support_set_q5():
 def test_generate_fixtures():
     assert generate(build_field(5, 1)).to01() == "1100"
     assert generate(build_field(3, 1)).to01() == "10"
+
+
+def test_generate_matches_the_support_mark_oracle():
+    for p, m in ORACLE_FIELDS:
+        ctx = build_field(p, m)
+        seq = generate(ctx)
+        assert seq.bits.dtype == np.uint8 and seq.v == ctx.q - 1, (p, m)
+        assert np.array_equal(seq.bits, bits_by_mark(ctx)), (p, m)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (3, 4), (7, 2)])
