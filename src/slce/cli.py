@@ -48,13 +48,15 @@ def _odd_prime_powers_upto(q_max: int) -> list[tuple[int, int, int]]:
 
 def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     """Assemble the verification block for one field (the report core)."""
+    q = p**m  # build_field checks p and m where the callers have not
+    for k in sorted(ks or ()):  # before any field is built
+        if k < 3 or k % 2 == 0 or (q - 1) % k != 0:
+            raise ValueError(f"k = {k} is not an odd divisor >= 3 of q - 1 = {q - 1}")
     t_start = time.perf_counter()
     if direct:
         ctx = build_field(p, m)
-        q = ctx.q
         block: dict = {"field": ctx.describe(), "rows": []}
     else:
-        q = p**m  # the callers have checked p and m
         block = {"field": {"p": p, "m": m, "q": q, "modulus": None, "alpha": None}, "rows": []}
     timings = {"field_build_s": time.perf_counter() - t_start}
 
@@ -79,8 +81,6 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     indeterminate = 0
     t0 = time.perf_counter()
     for k in sorted(ks):
-        if k < 3 or k % 2 == 0 or (q - 1) % k != 0:
-            raise ValueError(f"k = {k} is not an odd divisor >= 3 of q - 1 = {q - 1}")
         row: dict = {"q": q, "k": k}
         if direct:
             ideals = cyclotomic.ideal_factors(k)
@@ -292,18 +292,19 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_grid(args, out) -> int:
+    fields = _odd_prime_powers_upto(args.q_max)
+    beyond = next((q for q, _, _ in fields if q > DIRECT_VERIFY_BOUND), None)
+    if beyond is not None and not args.predict_only:
+        print(
+            f"error: grid reaches q = {beyond} above the direct bound {DIRECT_VERIFY_BOUND};"
+            " pass --predict-only to include prediction-only rows",
+            file=sys.stderr,
+        )
+        return 2
     blocks = []
     mismatches = 0
-    for q, p, m in _odd_prime_powers_upto(args.q_max):
-        direct = q <= DIRECT_VERIFY_BOUND
-        if not direct and not args.predict_only:
-            print(
-                f"error: grid reaches q = {q} above the direct bound {DIRECT_VERIFY_BOUND};"
-                " pass --predict-only to include prediction-only rows",
-                file=sys.stderr,
-            )
-            return 2
-        block = _verify_rows(p, m, None, direct)
+    for q, p, m in fields:
+        block = _verify_rows(p, m, None, q <= DIRECT_VERIFY_BOUND)
         mismatches += block["summary"]["mismatches"]
         blocks.append(block)
     report = {

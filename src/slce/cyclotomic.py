@@ -3,14 +3,14 @@
 Elements are integer coordinate vectors in the power basis 1, zeta, ...,
 zeta^(phi(k)-1) modulo the k-th cyclotomic polynomial (an integral basis,
 so "divisible by 2" means "all coordinates even").  The module computes
-the Jacobi sums J(chi, chi) and J(chi, rho) for the canonical character
-chi(alpha) = zeta_k, the normalized sum K = chi(4) J(chi, chi), reduction
-modulo the prime ideals above 2, and the divisibility test.  Each prime
-ideal above 2 is (2, g(zeta_k)) for an irreducible factor g of Phi_k mod
-2, and the package names it by g alone: g divides the sequence polynomial
-exactly when (K + 1)/2 lies in (2, g(zeta_k)).
+the normalized Jacobi sum K = chi(4) J(chi, chi) for the canonical
+character chi(alpha) = zeta_k, the prime ideals above 2, and the
+divisibility test.  Each prime ideal above 2 is (2, g(zeta_k)) for an
+irreducible factor g of Phi_k mod 2, and the package names it by g alone:
+g divides the sequence polynomial exactly when (K + 1)/2 lies in
+(2, g(zeta_k)).
 
-Phi_k is built as the Moebius product of the x^d - 1 over d | k, and every
+Phi_k is the Moebius product of the x^d - 1 over d | k, and every
 element enters the power basis through one routine, `_reduce`: with
 Psi_k = (x^k - 1)/Phi_k, the remainder mod Phi_k is (vec * Psi_k mod
 x^k - 1) / Psi_k, and multiplying or dividing by Psi_k is one shift or one
@@ -58,11 +58,6 @@ def _times_mobius(a: np.ndarray, factors) -> np.ndarray:
                 raise ArithmeticError(f"x^{d} - 1 does not divide the partial product")
             a = -acc[: n - d]
     return a
-
-
-def cyclotomic_poly(k: int) -> tuple[int, ...]:
-    """Coefficients (constant first) of the k-th cyclotomic polynomial."""
-    return tuple(_times_mobius(np.ones(1, dtype=np.int64), mobius_factors(k)).tolist())
 
 
 def _fold_sum(a: np.ndarray, k: int) -> np.ndarray:
@@ -137,72 +132,18 @@ class CycInt:
             raise ValueError(f"need {expected} coordinates for k = {self.k}")
 
     @classmethod
-    def from_integer(cls, k: int, n: int) -> "CycInt":
-        return cls(k, (n,) + (0,) * (euler_phi(k) - 1))
-
-    @classmethod
-    def zeta_power(cls, k: int, j: int) -> "CycInt":
-        vec = [0] * k
-        vec[j % k] = 1
-        return cls.from_exponent_counts(k, vec)
-
-    @classmethod
     def from_exponent_counts(cls, k: int, counts) -> "CycInt":
         """sum counts[j] * zeta^j reduced into the power basis."""
         if np.shape(counts) != (k,):
             raise ValueError(f"need {k} exponent classes")
         return cls(k, _reduce(k, counts))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.k, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.k, tuple(-a for a in self.coeffs))
-
-    def _check(self, other: "CycInt") -> None:
-        if self.k != other.k:
-            raise ValueError(f"mismatched cyclotomic orders {self.k} and {other.k}")
-
-    def as_integer(self) -> int | None:
-        """The rational integer this element equals, or None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
-    def embed(self) -> complex:
-        """Numeric embedding at zeta_k = exp(2 pi i / k)."""
-        angles = 2j * np.pi * np.arange(len(self.coeffs)) / self.k
-        return complex(np.sum(np.array(self.coeffs) * np.exp(angles)))
-
     def to_json(self) -> dict:
         return {"k": self.k, "basis": "power", "coeffs": list(self.coeffs)}
 
 
-def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
-    """Exact product reduced modulo Phi_k."""
-    a._check(b)
-    conv = np.convolve(np.array(a.coeffs, dtype=object), np.array(b.coeffs, dtype=object))
-    return CycInt(a.k, _reduce(a.k, conv))
-
-
-def cyc_conj(a: CycInt) -> CycInt:
-    """Complex conjugation: zeta maps to zeta^(-1)."""
-    counts = [0] * a.k
-    for i, c in enumerate(a.coeffs):
-        counts[(-i) % a.k] += c
-    return CycInt(a.k, _reduce(a.k, counts))
-
-
 # ---------------------------------------------------------------------------
-# Jacobi sums for the canonical character chi with chi(alpha) = zeta_k.
+# K = chi(4) J(chi, chi) for the canonical character chi(alpha) = zeta_k.
 # ---------------------------------------------------------------------------
 
 
@@ -228,30 +169,6 @@ def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
     classes = (i + ctx.zech_table[1 : q - 1] + dlog4) % k
     counts = np.bincount(classes, minlength=k)
     return CycInt.from_exponent_counts(k, counts)
-
-
-def jacobi_with_rho(ctx: FieldCtx, k: int) -> CycInt:
-    """J(chi, rho) with rho the quadratic character: rho(alpha^t) = (-1)^t."""
-    _require_valid_k(ctx, k)
-    q = ctx.q
-    i = np.arange(1, q - 1, dtype=np.int64)
-    classes = (i % k).astype(np.int64)
-    signs_neg = (ctx.zech_table[i] & 1).astype(bool)
-    plus = np.bincount(classes[~signs_neg], minlength=k)
-    minus = np.bincount(classes[signs_neg], minlength=k)
-    return CycInt.from_exponent_counts(k, plus - minus)
-
-
-def check_eq3(kval: CycInt, q: int) -> bool:
-    """Exact test that kval + q is divisible by 2 (1 - zeta_k) in Z[zeta_k]."""
-    phi = np.array(cyclotomic_poly(kval.k), dtype=object)
-    # (1 - zeta)^(-1) = B(zeta) / Phi(1) with B = (Phi(x) - Phi(1)) / (x - 1),
-    # whose coefficient j is the sum of the coefficients of Phi above j
-    b = np.cumsum(phi[::-1])[::-1][1:]
-    w = np.array(kval.coeffs, dtype=object)
-    w[0] += q
-    denom = 2 * int(phi.sum())
-    return all(c % denom == 0 for c in _reduce(kval.k, np.convolve(w, b)))
 
 
 # ---------------------------------------------------------------------------

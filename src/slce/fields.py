@@ -284,9 +284,6 @@ class FieldElt:
 
     coeffs: tuple[int, ...]
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __str__(self) -> str:
         return poly_str(self.coeffs)
 
@@ -294,7 +291,9 @@ class FieldElt:
 class FieldCtx:
     """A concrete GF(p^m) with canonical modulus, generator and log tables.
 
-    Immutable after construction; all operations are pure, so a context is
+    The tables index an element by its code, sum c_i p^i over its
+    coordinates c_i (constant first): exp_table[t] is the code of alpha^t
+    and dlog_table[code] is t (-1 for zero).  Immutable after construction; all operations are pure, so a context is
     safe to share across threads.
     """
 
@@ -376,31 +375,6 @@ class FieldCtx:
         self.zech_table = zech
         for arr in (self.exp_table, self.dlog_table, self.zech_table):
             arr.setflags(write=False)
-
-    # -- element encoding ------------------------------------------------------
-
-    def encode(self, x: FieldElt) -> int:
-        code = 0
-        for c in reversed(x.coeffs):
-            code = code * self.p + c
-        return code
-
-    def decode(self, code: int) -> FieldElt:
-        cs = []
-        for _ in range(self.m):
-            code, c = divmod(code, self.p)
-            cs.append(c)
-        return FieldElt(tuple(cs))
-
-    def zero(self) -> FieldElt:
-        return FieldElt((0,) * self.m)
-
-    def one(self) -> FieldElt:
-        return FieldElt((1,) + (0,) * (self.m - 1))
-
-    def from_int(self, c: int) -> FieldElt:
-        """The constant c, i.e. the image of the integer c in the field."""
-        return FieldElt((c % self.p,) + (0,) * (self.m - 1))
 
     def describe(self) -> dict:
         """Echo of the deterministic choices, embedded in every report."""

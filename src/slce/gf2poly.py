@@ -54,17 +54,6 @@ _SPREAD_LO = bytes(w & 0xFF for w in _SPREAD)
 _SPREAD_HI = bytes(w >> 8 for w in _SPREAD)
 
 
-def _mul_int(a: int, b: int) -> int:
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    r = 0
-    while a:
-        low = a & -a
-        r ^= b << (low.bit_length() - 1)
-        a ^= low
-    return r
-
-
 def _sqr_int(a: int) -> int:
     # Frobenius: byte i of a spreads to bytes 2i and 2i + 1 of a^2
     buf = a.to_bytes((a.bit_length() + 7) // 8, "little")
@@ -223,14 +212,6 @@ class Gf2Poly:
 
     def __hash__(self):
         return hash(("Gf2Poly", self.bits))
-
-    def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(_mul_int(self.bits, other.bits))
 
     def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
         return Gf2Poly(_mod_int(self.bits, other.bits))

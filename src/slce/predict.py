@@ -35,18 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import euler_phi, is_prime, multiplicative_order, prime_factors
+from .fields import is_prime, multiplicative_order, prime_factors
 
 
 class NoClosedForm(ValueError):
     """Raised when (p, m, k) falls in neither the pure nor the index-2 regime."""
-
-
-def subgroup_index(k: int, p: int) -> int:
-    """Index of the subgroup generated by p inside the units mod k."""
-    if math.gcd(p, k) != 1:
-        raise ValueError(f"gcd({p}, {k}) != 1")
-    return euler_phi(k) // multiplicative_order(p, k)
 
 
 @dataclass(frozen=True)
@@ -54,6 +47,7 @@ class PureCaseParams:
     p: int
     m: int
     k: int
+    order: int  # of p mod k
     t: int | None  # least positive t with p^t = -1 mod k, if any
     s: int | None  # m / (2t) when integral
     applicable: bool
@@ -71,10 +65,10 @@ def pure_case_params(p: int, m: int, k: int) -> PureCaseParams:
     # power of p iff p^(order/2) = -1, and then t = order/2 is the least one
     t = order // 2 if order % 2 == 0 and pow(p, order // 2, k) == k - 1 else None
     if t is None:
-        return PureCaseParams(p, m, k, None, None, False, "no power of p is -1 mod k")
+        return PureCaseParams(p, m, k, order, None, None, False, "no power of p is -1 mod k")
     if m % (2 * t) != 0:
-        return PureCaseParams(p, m, k, t, None, False, f"m = {m} is not a multiple of 2t = {2 * t}")
-    return PureCaseParams(p, m, k, t, m // (2 * t), True, "pure")
+        return PureCaseParams(p, m, k, order, t, None, False, f"m = {m} is not a multiple of 2t = {2 * t}")
+    return PureCaseParams(p, m, k, order, t, m // (2 * t), True, "pure")
 
 
 @dataclass(frozen=True)
@@ -110,17 +104,14 @@ def _all_ones_name(k: int) -> str:
     return f"1+x+...+x^{k - 1}"
 
 
-def predict_pure(p: int, m: int, k: int) -> Prediction:
-    """Pure-regime verdict for the full factor 1 + x + ... + x^(k-1).
+def pure_prediction(params: PureCaseParams) -> Prediction:
+    """Pure-regime verdict for the full factor 1 + x + ... + x^(k-1); params.applicable must hold.
 
     The same verdict applies to every minimal polynomial of an element of
     order dividing k (order exactly k included), so the full-factor and
     per-factor answers coincide.
     """
-    params = pure_case_params(p, m, k)
-    if not params.applicable:
-        raise NoClosedForm(f"pure case inapplicable for (p={p}, m={m}, k={k}): {params.reason}")
-    t, s = params.t, params.s
+    p, m, k, t, s = params.p, params.m, params.k, params.t, params.s
     if p % 4 == 1:
         divides = s % 2 == 0
         trace = f"p=1 mod 4: divides iff s even; t={t}, s={s}"
@@ -137,20 +128,6 @@ def predict_pure(p: int, m: int, k: int) -> Prediction:
         params={"t": t, "s": s},
         condition_trace=trace,
     )
-
-
-def closed_form_pure_K(p: int, m: int, k: int) -> int:
-    """The rational integer K in the pure regime: a signed power of p."""
-    params = pure_case_params(p, m, k)
-    if not params.applicable:
-        raise NoClosedForm(f"pure case inapplicable for (p={p}, m={m}, k={k}): {params.reason}")
-    t, s = params.t, params.s
-    quotient = (p**t + 1) * s // (2 * k)  # integral: k odd and k | p^t + 1
-    if p % 4 == 1:
-        sign = (-1) ** ((1 + quotient) % 2)
-    else:
-        sign = (-1) ** ((1 + m // 2 + quotient) % 2)
-    return sign * p ** (m // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +272,13 @@ def represent(p: int, ell: int, h: int, e: int) -> tuple[int, int]:
     return a, b_abs
 
 
-def index2_params(p: int, m: int, ell: int, r: int) -> Index2Params:
-    """Validate the index-2 hypotheses and assemble all derived quantities."""
-    if not is_prime(ell) or ell % 8 != 7:
-        raise NoClosedForm(f"ell = {ell} is not a prime congruent to 7 mod 8")
-    if r < 1:
-        raise ValueError(f"r = {r} must be a positive integer")
-    k = ell**r
-    if math.gcd(p, k) != 1:
-        raise NoClosedForm(f"p = {p} divides k = {k}")
-    idx = subgroup_index(k, p)
-    if idx != 2:
-        raise NoClosedForm(f"subgroup index of p mod k is {idx}, need 2")
-    if pure_case_params(p, m, k).t is not None:
-        raise NoClosedForm(f"some power of p is -1 mod {k}: pure regime applies, not index 2")
-    e = euler_phi(k) // 2
+def index2_case_params(p: int, m: int, ell: int, r: int, e: int) -> Index2Params:
+    """The derived quantities of the index-2 regime.
+
+    Requires ell = 7 mod 8 prime, r >= 1 and p of index 2 mod k = ell^r, so
+    that e = ord_k(p) = phi(k)/2; then no power of p is -1 mod k, as -1 is
+    no square mod ell^r.  Raises NoClosedForm when e does not divide m.
+    """
     if m % e != 0:
         raise NoClosedForm(f"m = {m} is not a multiple of e = phi(k)/2 = {e}")
     s = m // e
@@ -319,7 +288,7 @@ def index2_params(p: int, m: int, ell: int, r: int) -> Index2Params:
     a, b_abs = represent(p, ell, h, e)
     if a % 2 != 0 or b_abs % 2 != 0:
         raise ArithmeticError(f"a = {a}, b = {b_abs} should both be even for ell = 7 mod 8")
-    return Index2Params(p=p, m=m, ell=ell, r=r, k=k, e=e, s=s, h=h, a=a, b_abs=b_abs)
+    return Index2Params(p=p, m=m, ell=ell, r=r, k=ell**r, e=e, s=s, h=h, a=a, b_abs=b_abs)
 
 
 def _index2_condition_value(params: Index2Params, b: int) -> int:
@@ -331,7 +300,7 @@ def _index2_condition_value(params: Index2Params, b: int) -> int:
     return (-1) ** (exponent % 2) * ((params.a + b) // 2) ** s
 
 
-def predict_index2(p: int, m: int, ell: int, r: int) -> Prediction:
+def index2_prediction(params: Index2Params) -> Prediction:
     """Index-2 verdict; definite only when both b-sign branches agree.
 
     Branch values correspond to conjugate characters (conjugation flips the
@@ -339,7 +308,7 @@ def predict_index2(p: int, m: int, ell: int, r: int) -> Prediction:
     1 + x + ... + x^(k-1); for r > 1 the verdict is per minimal polynomial
     of an order-k element.  When b = 0 mod 4 the branches always agree.
     """
-    params = index2_params(p, m, ell, r)
+    ell, r = params.ell, params.r
     values = {b: _index2_condition_value(params, b) for b in (params.b_abs, -params.b_abs)}
     branch = {b: value % 4 == 3 for b, value in values.items()}
     agree = branch[params.b_abs] == branch[-params.b_abs]
@@ -355,8 +324,8 @@ def predict_index2(p: int, m: int, ell: int, r: int) -> Prediction:
         divides = None
         trace += "; sign branches disagree: indeterminate (b is known only up to sign)"
     return Prediction(
-        p=p,
-        m=m,
+        p=params.p,
+        m=params.m,
         k=params.k,
         regime="index2",
         target=target,
@@ -364,33 +333,6 @@ def predict_index2(p: int, m: int, ell: int, r: int) -> Prediction:
         params=params.to_json(),
         condition_trace=trace,
     )
-
-
-def closed_form_index2_K(params: Index2Params, b_sign: int):
-    """Exact K for one sign of b, as an element of Z[zeta_ell] (r = 1 only).
-
-    K = (-1)^(s-1) p^((e-h)s/2) ((a + b sqrt(-ell))/2)^s, with sqrt(-ell)
-    realized as the quadratic Gauss sum inside the cyclotomic field.
-    """
-    from .cyclotomic import CycInt, cyc_mul
-
-    if params.r != 1:
-        raise ValueError("exact cyclotomic embedding implemented for r = 1 only")
-    ell = params.ell
-    counts = [0] * ell
-    for j in range(1, ell):
-        counts[j] = 1 if pow(j, (ell - 1) // 2, ell) == 1 else -1
-    root = CycInt.from_exponent_counts(ell, counts)  # sqrt(-ell)
-    b = b_sign * params.b_abs
-    num = CycInt.from_integer(ell, params.a) + CycInt(ell, tuple(b * c for c in root.coeffs))
-    if any(c % 2 for c in num.coeffs):
-        raise ArithmeticError("(a + b sqrt(-ell))/2 is not integral in the power basis")
-    base = CycInt(ell, tuple(c // 2 for c in num.coeffs))
-    sign = (-1) ** ((params.s - 1) % 2)
-    out = CycInt.from_integer(ell, sign * params.p ** ((params.e - params.h) * params.s // 2))
-    for _ in range(params.s):
-        out = cyc_mul(out, base)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +363,10 @@ def predict(p: int, m: int, k: int) -> Prediction:
         raise ValueError(f"k = {k} does not divide q - 1 = {q_minus_1}")
     params = pure_case_params(p, m, k)
     if params.applicable:
-        return predict_pure(p, m, k)
+        return pure_prediction(params)
     pp = _prime_power(k)
     if pp is not None:
-        ell, r = pp
-        if is_prime(ell) and ell % 8 == 7 and subgroup_index(k, p) == 2:
-            return predict_index2(p, m, ell, r)
+        ell, r = pp  # ell is prime: it came out of prime_factors
+        if ell % 8 == 7 and (ell - 1) * ell ** (r - 1) == 2 * params.order:  # index 2
+            return index2_prediction(index2_case_params(p, m, ell, r, params.order))
     raise NoClosedForm(f"no closed form in scope for (p={p}, m={m}, k={k})")

@@ -6,18 +6,18 @@ closed-form predictors rest on: the modulus |G| = sqrt(q), the quotient
 identity J(chi, phi) = G(chi) G(phi) / G(chi phi), the classical closed
 form for the quadratic-character sum, and the purity classification.
 Exact values stay in the cyclotomic module; nothing here feeds results
-back into exact computations.
+back into exact computations.  The package never evaluates these
+identities; the tests check them here.
 """
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
-from .cyclotomic import jacobi_K
-from .fields import FieldCtx
-from .predict import pure_case_params
+from oracles import embed
+from slce.cyclotomic import jacobi_K
+from slce.fields import FieldCtx
+from slce.predict import pure_case_params
 
 REL_TOL = 1e-6
 
@@ -113,7 +113,7 @@ def check_identities(ctx: FieldCtx, k: int) -> dict:
     g_chi_rho = gauss_sum(ctx, 2 * k, k + 2)  # chi * rho: exponent 1/k + 1/2 = (k+2)/(2k)
     k_eq6 = g_rho * g_chi / g_chi_rho
     k_exact = jacobi_K(ctx, k)
-    k_embedded = k_exact.embed()
+    k_embedded = embed(k_exact)
 
     rho_closed = quadratic_gauss_closed_form(ctx)
     pure = pure_case_params(ctx.p, ctx.m, k)

@@ -28,21 +28,35 @@ of the Zech table.  `support_set`, the sets Y and Z, `lce_shift_check`
 (Z = (-4)^(-1) D), pointwise `autocorrelation` and `decimate` check the
 sequence's structure.
 
-`reduce_by_long_division` is the row-by-row monic long division by Phi_k
-that `slce.cyclotomic._reduce` replaced; `half_K_plus_one` and
-`reduce_mod_ideal` are the element-level path through Z[zeta_k] that
-`slce.cyclotomic.criterion` replaced with one packed array.
+The package keeps a `CycInt` as coordinates only; the element arithmetic
+(`cyc_add`, `cyc_mul`, `cyc_conj`, `from_integer`, `zeta_power`,
+`as_integer`, `embed`), Phi_k over Z (`cyclotomic_poly`), J(chi, rho) and
+the congruence K + q = 0 mod 2(1 - zeta_k) (`check_eq3`) check the
+paper's identities here.  `reduce_by_long_division` is the row-by-row
+monic long division by Phi_k that `slce.cyclotomic._reduce` replaced;
+`half_K_plus_one` and `reduce_mod_ideal` are the element-level path
+through Z[zeta_k] that `slce.cyclotomic.criterion` replaced with one
+packed array.
+
+`predict_pure`, `index2_params` and `predict_index2` run one regime of
+`slce.predict` on its own, after checking that regime's hypotheses; the
+router `predict` reaches the same builders once it has classified
+(p, m, k).  `closed_form_pure_K` and `closed_form_index2_K` give K itself
+in closed form, for comparison with the exact Jacobi sum.
 
 The GF(p)[x] list arithmetic (coefficient lists, constant term first) is
 the construction `slce.fields` replaced with the companion matrix of the
 modulus: `is_irreducible_by_gcd` is Ben-Or's test by polynomial gcds and
 `field_by_lists` finds the modulus, alpha and the matrix of multiplication
 by alpha with lists alone.  `trace` takes the trace of the multiplication
-matrix, independent of the Frobenius sum in `slce.gaussnum`.
+matrix, independent of the Frobenius sum in `gaussnum._traces`.
 
-The element operations act on one field element at a time through the
-exponent and log tables of a context; the tests use them to check the
-tables and the vectorised constructions built on them.
+The element operations (`encode`, `decode`, `zero`, `one`, `from_int`,
+arithmetic, `dlog`, `trace`) act on one field element at a time through
+the exponent and log tables of a context; the tests use them to check the
+tables and the vectorised constructions built on them.  `mul_int`,
+`poly_add` and `poly_mul` multiply and add in GF(2)[x], which the
+package never needs to.
 """
 
 import warnings
@@ -53,9 +67,28 @@ from math import gcd as intgcd
 import numpy as np
 
 from slce import cyclotomic
-from slce.cyclotomic import CycInt, cyclotomic_poly
-from slce.fields import FieldCtx, FieldElt, divisors, multiplicative_order, prime_factors
-from slce.gf2poly import Gf2Poly, _divmod_int, _gcd_int, _mod_int, _mul_int, _sqr_int, gcd
+from slce.cyclotomic import CycInt, _reduce, _require_valid_k, _times_mobius
+from slce.fields import (
+    FieldCtx,
+    FieldElt,
+    divisors,
+    euler_phi,
+    is_prime,
+    mobius_factors,
+    multiplicative_order,
+    prime_factors,
+)
+from slce.gf2poly import Gf2Poly, _divmod_int, _gcd_int, _mod_int, _sqr_int, gcd
+from slce.predict import (
+    Index2Params,
+    NoClosedForm,
+    Prediction,
+    PureCaseParams,
+    index2_case_params,
+    index2_prediction,
+    pure_case_params,
+    pure_prediction,
+)
 from slce.sequences import BitSeq
 
 X = Gf2Poly(2)
@@ -65,6 +98,27 @@ ONE = Gf2Poly(1)
 # ---------------------------------------------------------------------------
 # GF(2)[x]: Euclid, irreducibility, products, linear complexity.
 # ---------------------------------------------------------------------------
+
+
+def mul_int(a: int, b: int) -> int:
+    """Product of bit-packed polynomials by shifted xors, one per set bit of the sparser factor."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    r = 0
+    while a:
+        low = a & -a
+        r ^= b << (low.bit_length() - 1)
+        a ^= low
+    return r
+
+
+def poly_add(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+    """a + b, which over GF(2) is also a - b."""
+    return Gf2Poly(a.bits ^ b.bits)
+
+
+def poly_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+    return Gf2Poly(mul_int(a.bits, b.bits))
 
 
 def x_pow_plus_one(v: int) -> Gf2Poly:
@@ -113,7 +167,7 @@ def recombine(factors: list[tuple[Gf2Poly, int]]) -> Gf2Poly:
     out = ONE
     for g, e in factors:
         for _ in range(e):
-            out = out * g
+            out = poly_mul(out, g)
     return out
 
 
@@ -170,8 +224,91 @@ def lfsr_regenerate(connection: Gf2Poly, big_l: int, seed: list[int], count: int
 
 
 # ---------------------------------------------------------------------------
-# Z[zeta_k]: long division by Phi_k, and the criterion one element at a time.
+# Z[zeta_k]: element arithmetic, the identities K satisfies, long division by
+# Phi_k, and the criterion one element at a time.
 # ---------------------------------------------------------------------------
+
+
+def cyclotomic_poly(k: int) -> tuple[int, ...]:
+    """Coefficients (constant first) of the k-th cyclotomic polynomial."""
+    return tuple(_times_mobius(np.ones(1, dtype=np.int64), mobius_factors(k)).tolist())
+
+
+def from_integer(k: int, n: int) -> CycInt:
+    return CycInt(k, (n,) + (0,) * (euler_phi(k) - 1))
+
+
+def zeta_power(k: int, j: int) -> CycInt:
+    vec = [0] * k
+    vec[j % k] = 1
+    return CycInt.from_exponent_counts(k, vec)
+
+
+def _same_order(a: CycInt, b: CycInt) -> None:
+    if a.k != b.k:
+        raise ValueError(f"mismatched cyclotomic orders {a.k} and {b.k}")
+
+
+def cyc_add(a: CycInt, b: CycInt) -> CycInt:
+    _same_order(a, b)
+    return CycInt(a.k, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
+    """Exact product reduced modulo Phi_k."""
+    _same_order(a, b)
+    conv = np.convolve(np.array(a.coeffs, dtype=object), np.array(b.coeffs, dtype=object))
+    return CycInt(a.k, _reduce(a.k, conv))
+
+
+def cyc_conj(a: CycInt) -> CycInt:
+    """Complex conjugation: zeta maps to zeta^(-1)."""
+    counts = [0] * a.k
+    for i, c in enumerate(a.coeffs):
+        counts[(-i) % a.k] += c
+    return CycInt(a.k, _reduce(a.k, counts))
+
+
+def as_integer(a: CycInt) -> int | None:
+    """The rational integer a equals, or None."""
+    if any(a.coeffs[1:]):
+        return None
+    return a.coeffs[0]
+
+
+def embed(a: CycInt) -> complex:
+    """Numeric embedding at zeta_k = exp(2 pi i / k)."""
+    angles = 2j * np.pi * np.arange(len(a.coeffs)) / a.k
+    return complex(np.sum(np.array(a.coeffs) * np.exp(angles)))
+
+
+def is_zero(a) -> bool:
+    """True when every coordinate of a (a CycInt or a FieldElt) is 0."""
+    return not any(a.coeffs)
+
+
+def jacobi_with_rho(ctx: FieldCtx, k: int) -> CycInt:
+    """J(chi, rho) with rho the quadratic character: rho(alpha^t) = (-1)^t."""
+    _require_valid_k(ctx, k)
+    q = ctx.q
+    i = np.arange(1, q - 1, dtype=np.int64)
+    classes = (i % k).astype(np.int64)
+    signs_neg = (ctx.zech_table[i] & 1).astype(bool)
+    plus = np.bincount(classes[~signs_neg], minlength=k)
+    minus = np.bincount(classes[signs_neg], minlength=k)
+    return CycInt.from_exponent_counts(k, plus - minus)
+
+
+def check_eq3(kval: CycInt, q: int) -> bool:
+    """Exact test that kval + q is divisible by 2 (1 - zeta_k) in Z[zeta_k]."""
+    phi = np.array(cyclotomic_poly(kval.k), dtype=object)
+    # (1 - zeta)^(-1) = B(zeta) / Phi(1) with B = (Phi(x) - Phi(1)) / (x - 1),
+    # whose coefficient j is the sum of the coefficients of Phi above j
+    b = np.cumsum(phi[::-1])[::-1][1:]
+    w = np.array(kval.coeffs, dtype=object)
+    w[0] += q
+    denom = 2 * int(phi.sum())
+    return all(c % denom == 0 for c in _reduce(kval.k, np.convolve(w, b)))
 
 
 def reduce_by_long_division(k: int, vec) -> tuple[int, ...]:
@@ -224,6 +361,91 @@ def criterion_by_elements(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     u = half_K_plus_one(ctx, k)
     return tuple(reduce_mod_ideal(u, g).is_zero() for g in cyclotomic.ideal_factors(k))
 
+
+# ---------------------------------------------------------------------------
+# Each closed-form regime on its own, with its hypotheses checked, and the
+# closed forms of K that the exact Jacobi sum is checked against.
+# ---------------------------------------------------------------------------
+
+
+def subgroup_index(k: int, p: int) -> int:
+    """Index of the subgroup generated by p inside the units mod k."""
+    if intgcd(p, k) != 1:
+        raise ValueError(f"gcd({p}, {k}) != 1")
+    return euler_phi(k) // multiplicative_order(p, k)
+
+
+def _pure_params(p: int, m: int, k: int) -> PureCaseParams:
+    params = pure_case_params(p, m, k)
+    if not params.applicable:
+        raise NoClosedForm(f"pure case inapplicable for (p={p}, m={m}, k={k}): {params.reason}")
+    return params
+
+
+def predict_pure(p: int, m: int, k: int) -> Prediction:
+    """The pure-regime verdict; NoClosedForm when no power of p is -1 mod k or 2t does not divide m."""
+    return pure_prediction(_pure_params(p, m, k))
+
+
+def index2_params(p: int, m: int, ell: int, r: int) -> Index2Params:
+    """Validate the index-2 hypotheses and assemble all derived quantities."""
+    if not is_prime(ell) or ell % 8 != 7:
+        raise NoClosedForm(f"ell = {ell} is not a prime congruent to 7 mod 8")
+    if r < 1:
+        raise ValueError(f"r = {r} must be a positive integer")
+    k = ell**r
+    if intgcd(p, k) != 1:
+        raise NoClosedForm(f"p = {p} divides k = {k}")
+    pure = pure_case_params(p, m, k)
+    idx = euler_phi(k) // pure.order
+    if idx != 2:
+        raise NoClosedForm(f"subgroup index of p mod k is {idx}, need 2")
+    if pure.t is not None:
+        raise NoClosedForm(f"some power of p is -1 mod {k}: pure regime applies, not index 2")
+    return index2_case_params(p, m, ell, r, pure.order)
+
+
+def predict_index2(p: int, m: int, ell: int, r: int) -> Prediction:
+    return index2_prediction(index2_params(p, m, ell, r))
+
+
+def closed_form_pure_K(p: int, m: int, k: int) -> int:
+    """The rational integer K in the pure regime: a signed power of p."""
+    params = _pure_params(p, m, k)
+    t, s = params.t, params.s
+    quotient = (p**t + 1) * s // (2 * k)  # integral: k odd and k | p^t + 1
+    if p % 4 == 1:
+        sign = (-1) ** ((1 + quotient) % 2)
+    else:
+        sign = (-1) ** ((1 + m // 2 + quotient) % 2)
+    return sign * p ** (m // 2)
+
+
+def closed_form_index2_K(params: Index2Params, b_sign: int) -> CycInt:
+    """Exact K for one sign of b, as an element of Z[zeta_ell] (r = 1 only).
+
+    K = (-1)^(s-1) p^((e-h)s/2) ((a + b sqrt(-ell))/2)^s, with sqrt(-ell)
+    realized as the quadratic Gauss sum inside the cyclotomic field.
+    """
+    if params.r != 1:
+        raise ValueError("exact cyclotomic embedding implemented for r = 1 only")
+    ell = params.ell
+    counts = [0] * ell
+    for j in range(1, ell):
+        counts[j] = 1 if pow(j, (ell - 1) // 2, ell) == 1 else -1
+    root = CycInt.from_exponent_counts(ell, counts)  # sqrt(-ell)
+    b = b_sign * params.b_abs
+    num = cyc_add(from_integer(ell, params.a), CycInt(ell, tuple(b * c for c in root.coeffs)))
+    if any(c % 2 for c in num.coeffs):
+        raise ArithmeticError("(a + b sqrt(-ell))/2 is not integral in the power basis")
+    base = CycInt(ell, tuple(c // 2 for c in num.coeffs))
+    sign = (-1) ** ((params.s - 1) % 2)
+    out = from_integer(ell, sign * params.p ** ((params.e - params.h) * params.s // 2))
+    for _ in range(params.s):
+        out = cyc_mul(out, base)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic cosets and minimal polynomials of roots of unity over GF(2).
 # ---------------------------------------------------------------------------
@@ -234,7 +456,7 @@ def _powmod_int(base: int, e: int, mod: int) -> int:
     base = _mod_int(base, mod)
     while e:
         if e & 1:
-            result = _mod_int(_mul_int(result, base), mod)
+            result = _mod_int(mul_int(result, base), mod)
         base = _mod_int(_sqr_int(base), mod)
         e >>= 1
     return result
@@ -291,7 +513,7 @@ def _orbit_min_poly(beta: int, orbit: list[int], modulus: int) -> Gf2Poly:
         nxt = [0] * (len(poly) + 1)
         for i, coef in enumerate(poly):
             nxt[i + 1] ^= coef
-            nxt[i] ^= _mod_int(_mul_int(coef, root), modulus)
+            nxt[i] ^= _mod_int(mul_int(coef, root), modulus)
         poly = nxt
     bits = 0
     for i, coef in enumerate(poly):
@@ -410,7 +632,7 @@ def _berlekamp_factors(f: int) -> list[int]:
     r = 1
     for i in range(n):
         rows.append(r ^ (1 << i))  # row i of Q - I, where Q row i = x^(2i) mod f
-        r = _mod_int(_mul_int(r, x2), f)
+        r = _mod_int(mul_int(r, x2), f)
     basis = _left_nullspace_gf2(rows)
     pieces = [f]
     for v in basis:
@@ -664,18 +886,18 @@ def _z_codes(ctx: FieldCtx) -> np.ndarray:
 
 def set_Y(ctx: FieldCtx) -> frozenset[FieldElt]:
     """Y: the nonzero field values representable as x(1-x) with x nonzero."""
-    return frozenset(ctx.decode(int(c)) for c in _y_codes(ctx))
+    return frozenset(decode(ctx, int(c)) for c in _y_codes(ctx))
 
 
 def set_Z(ctx: FieldCtx) -> frozenset[FieldElt]:
     """Z: complement of Y among the nonzero elements."""
-    return frozenset(ctx.decode(int(c)) for c in _z_codes(ctx))
+    return frozenset(decode(ctx, int(c)) for c in _z_codes(ctx))
 
 
 def lce_shift_check(ctx: FieldCtx) -> bool:
     """Structural self-test: Z equals (-4)^(-1) * D."""
     d = support_set(ctx)
-    code_m4 = ctx.encode(ctx.from_int(-4))
+    code_m4 = encode(ctx, from_int(ctx, -4))
     shift = (-int(ctx.dlog_table[code_m4])) % (ctx.q - 1)
     shifted_exp = (ctx.dlog_table[d.element_codes] + shift) % (ctx.q - 1)
     shifted_codes = np.sort(ctx.exp_table[shifted_exp])
@@ -702,13 +924,42 @@ def decimate(seq: BitSeq, u: int) -> BitSeq:
 # ---------------------------------------------------------------------------
 
 
+def encode(ctx: FieldCtx, x: FieldElt) -> int:
+    """The table code of x: its coordinates as the base-p digits, constant first."""
+    code = 0
+    for c in reversed(x.coeffs):
+        code = code * ctx.p + c
+    return code
+
+
+def decode(ctx: FieldCtx, code: int) -> FieldElt:
+    cs = []
+    for _ in range(ctx.m):
+        code, c = divmod(code, ctx.p)
+        cs.append(c)
+    return FieldElt(tuple(cs))
+
+
+def zero(ctx: FieldCtx) -> FieldElt:
+    return FieldElt((0,) * ctx.m)
+
+
+def one(ctx: FieldCtx) -> FieldElt:
+    return FieldElt((1,) + (0,) * (ctx.m - 1))
+
+
+def from_int(ctx: FieldCtx, c: int) -> FieldElt:
+    """The constant c, i.e. the image of the integer c in the field."""
+    return FieldElt((c % ctx.p,) + (0,) * (ctx.m - 1))
+
+
 def power(ctx: FieldCtx, t: int) -> FieldElt:
     """alpha^(t mod (q-1))."""
-    return ctx.decode(int(ctx.exp_table[t % (ctx.q - 1)]))
+    return decode(ctx, int(ctx.exp_table[t % (ctx.q - 1)]))
 
 
 def dlog(ctx: FieldCtx, x: FieldElt) -> int:
-    code = ctx.encode(x)
+    code = encode(ctx, x)
     if code == 0:
         raise ValueError("discrete log of zero is undefined")
     return int(ctx.dlog_table[code])
@@ -733,12 +984,12 @@ def sub(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:
 
 
 def mul(ctx: FieldCtx, x: FieldElt, y: FieldElt) -> FieldElt:
-    if x.is_zero() or y.is_zero():
-        return ctx.zero()
+    if is_zero(x) or is_zero(y):
+        return zero(ctx)
     return power(ctx, dlog(ctx, x) + dlog(ctx, y))
 
 
 def inv(ctx: FieldCtx, x: FieldElt) -> FieldElt:
-    if x.is_zero():
+    if is_zero(x):
         raise ZeroDivisionError("inverse of zero")
     return power(ctx, -dlog(ctx, x))

@@ -263,6 +263,27 @@ def test_verify_invalid_k(capsys):
     assert rc == 2
 
 
+def _refuse(*_):
+    raise AssertionError("called before the arguments were checked")
+
+
+def test_verify_rejects_a_bad_k_before_building_the_field(monkeypatch, capsys):
+    monkeypatch.setattr(slce.cli, "build_field", _refuse)
+    rc, out = run(["verify", "-p", "7", "-m", "7", "-k", "4", "--q-max", "2000000"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == "error: k = 4 is not an odd divisor >= 3 of q - 1 = 823542\n"
+
+
+def test_grid_refuses_a_q_above_the_direct_bound_before_any_row(monkeypatch, capsys):
+    monkeypatch.setattr(slce.cli, "_verify_rows", _refuse)
+    rc, out = run(["grid", "--q-max", "20100"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: grid reaches q = 20011 above the direct bound 20000;"
+        " pass --predict-only to include prediction-only rows\n"
+    )
+
+
 def test_grid_small_and_deterministic():
     rc1, out1 = run(["grid", "--q-max", "100", "--json"])
     rc2, out2 = run(["grid", "--q-max", "100", "--json"])

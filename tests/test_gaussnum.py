@@ -2,8 +2,7 @@ import cmath
 
 import pytest
 
-from slce.fields import build_field
-from slce.gaussnum import (
+from gaussnum import (
     REL_TOL,
     check_identities,
     gauss_sum,
@@ -12,6 +11,7 @@ from slce.gaussnum import (
     modulus_suite,
     quadratic_gauss_closed_form,
 )
+from slce.fields import build_field
 
 
 def test_quadratic_sum_q5_positive_real():

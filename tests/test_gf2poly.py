@@ -16,19 +16,23 @@ from oracles import (
     berlekamp_massey,
     coset_minimal_polys,
     cyclotomic_cosets,
+    cyclotomic_poly,
     divides,
     gcd_by_divmod,
     is_irreducible,
     lfsr_regenerate,
     linear_complexity,
     minimal_polys_of_order,
+    mul_int,
+    poly_add,
     poly_from_seq,
+    poly_mul,
     recombine,
     smallest_irreducible,
     x_pow_plus_one,
 )
 from slce.cli import _odd_prime_powers_upto
-from slce.cyclotomic import cyclotomic_poly, ideal_factors
+from slce.cyclotomic import ideal_factors
 from slce.fields import build_field, divisors
 from slce import gf2poly
 from slce.gf2poly import (
@@ -38,7 +42,6 @@ from slce.gf2poly import (
     _gcd_int,
     _mod_cyclotomic,
     _mod_int,
-    _mul_int,
     _multiplier_certificate,
     _multiplier_group,
     _smooth_length,
@@ -63,9 +66,9 @@ def test_poly_basics():
     assert Gf2Poly(0).degree == -1
     assert str(Gf2Poly(0)) == "0"
     assert str(ONE) == "1"
-    assert (f + f).is_zero()
+    assert poly_add(f, f).is_zero()
     q, r = map(Gf2Poly, _divmod_int(f.bits, X.bits))
-    assert q * X + r == f
+    assert poly_add(poly_mul(q, X), r) == f
     assert Gf2Poly(3) != 3  # no int equals a Gf2Poly, so == agrees with the hash
     assert 3 not in {Gf2Poly(3)}
 
@@ -130,7 +133,7 @@ def binomial_gcd_cases(draw):
         w = v >> e
         f = gcd_by_divmod((1 << w) | 1, draw(st.integers(min_value=1, max_value=(1 << w) - 1)))
         for _ in range(draw(st.integers(min_value=1, max_value=(1 << e) + 2))):
-            s = _mul_int(s, f)
+            s = mul_int(s, f)
     return v, s
 
 
@@ -196,7 +199,7 @@ def test_gcd_with_binomial_matches_euclid_across_cyclotomic_factors(v):
     s = rng.getrandbits(v // 2) | (1 << (v // 2))
     for d in rng.sample(divisors(w), min(4, len(divisors(w)))):
         for _ in range(rng.randint(1, (1 << e) + 1)):
-            s = _mul_int(s, cyclotomic_mod2(d).bits)
+            s = mul_int(s, cyclotomic_mod2(d).bits)
     want = gcd_by_divmod((1 << v) | 1, s)
     assert want != 1
     assert recombine(gcd_factors(v, Gf2Poly(s))).bits == want
@@ -310,7 +313,7 @@ def test_euclid_matches_divmod_euclid(da, db, common, data):
     a = data.draw(st.integers(min_value=0, max_value=(1 << da) - 1)) | (1 << da)
     b = data.draw(st.integers(min_value=0, max_value=(1 << db) - 1)) | (1 << db)
     if data.draw(st.booleans()):
-        a, b = _mul_int(a, common), _mul_int(b, common)
+        a, b = mul_int(a, common), mul_int(b, common)
     assert _gcd_int(a, b) == gcd_by_divmod(a, b)
     assert _gcd_int(b, a) == gcd_by_divmod(b, a)
 
@@ -323,7 +326,7 @@ def test_divisibility_survives_the_fold(k, data):
     deg = data.draw(st.integers(min_value=0, max_value=20 * k))
     s = Gf2Poly(data.draw(st.integers(min_value=0, max_value=(1 << deg) - 1)) | (1 << deg))
     for _ in range(data.draw(st.integers(min_value=0, max_value=3))):  # so that g | s occurs
-        s = s * data.draw(st.sampled_from(ideals))
+        s = poly_mul(s, data.draw(st.sampled_from(ideals)))
     folded = Gf2Poly(_fold(s.bits, k))
     assert folded == s % x_pow_plus_one(k)
     for g in ideals:
@@ -344,7 +347,7 @@ def test_windowed_remainder_matches_long_division(a, db, low):
 @given(a=st.integers(min_value=0, max_value=(1 << 2000) - 1))
 @settings(max_examples=100, deadline=None)
 def test_square_matches_product(a):
-    assert _sqr_int(a) == _mul_int(a, a)
+    assert _sqr_int(a) == mul_int(a, a)
 
 
 def test_factor_fixtures():
@@ -357,12 +360,12 @@ def test_factor_fixtures():
     assert all(e == 1 for _, e in got)
 
     p4 = Gf2Poly(0b11)
-    p4 = p4 * p4 * p4 * p4
+    p4 = poly_mul(poly_mul(poly_mul(p4, p4), p4), p4)
     assert gcd_factors(4, p4) == [(Gf2Poly(0b11), 4)]
     assert gcd_factors(4, ONE) == []
     assert gcd_factors(6, Gf2Poly(0b1011)) == []  # x^3 + x + 1 divides x^7 + 1, not x^6 + 1
     # (x + 1)^8 meets x^12 + 1 = (x + 1)^4 (x^2 + x + 1)^4 in (x + 1)^4
-    assert gcd_factors(12, p4 * p4) == [(Gf2Poly(0b11), 4)]
+    assert gcd_factors(12, poly_mul(p4, p4)) == [(Gf2Poly(0b11), 4)]
     for v in [1, 4, 7, 12, 45, 96, 252]:  # gcd(x^v + 1, 0) = x^v + 1
         assert gcd_factors(v, Gf2Poly(0)) == berlekamp_factor(x_pow_plus_one(v)), v
 
@@ -376,7 +379,7 @@ def binomial_divisors(draw):
     for d in divisors(w):
         for h in _berlekamp_factors(Gf2Poly.from_coeffs(cyclotomic_poly(d)).bits):
             for _ in range(draw(st.integers(min_value=0, max_value=1 << e))):
-                g = g * Gf2Poly(h)
+                g = poly_mul(g, Gf2Poly(h))
     return (g if g.degree >= 1 else Gf2Poly(0b11)), w << e
 
 
@@ -424,7 +427,7 @@ def test_factor_squarefree_structured_case():
     parts = factor_squarefree(f, 262143)
     assert len(parts) == 2
     assert all(g.degree == 18 and is_irreducible(g) for g in parts)
-    assert parts[0] * parts[1] == f
+    assert poly_mul(parts[0], parts[1]) == f
 
 
 def test_cyclotomic_cosets():
@@ -450,7 +453,7 @@ def test_coset_minimal_poly_product(k):
     for orbit, g in coset_minimal_polys(k):
         assert is_irreducible(g)
         assert g.degree == len(orbit)
-        prod = prod * g
+        prod = poly_mul(prod, g)
     assert prod == all_ones_poly(k)
 
 

@@ -2,7 +2,23 @@ import numpy as np
 import pytest
 
 from conftest import ORACLE_FIELDS
-from oracles import autocorrelation, bits_by_mark, decimate, lce_shift_check, mul, power, set_Y, set_Z, sub, support_set
+from oracles import (
+    autocorrelation,
+    bits_by_mark,
+    decimate,
+    decode,
+    encode,
+    from_int,
+    is_zero,
+    lce_shift_check,
+    mul,
+    one,
+    power,
+    set_Y,
+    set_Z,
+    sub,
+    support_set,
+)
 from slce.fields import build_field
 from slce.sequences import autocorrelation_csv, autocorrelation_profile, generate, sequence_text
 
@@ -10,24 +26,23 @@ from slce.sequences import autocorrelation_csv, autocorrelation_profile, generat
 def brute_support_codes(ctx):
     """Literal definition: { alpha^(2i+1) - 1 } over all i, dropping zero."""
     out = set()
-    one = ctx.one()
     for i in range(ctx.q - 1):
-        cand = sub(ctx, power(ctx, 2 * i + 1), one)
-        if not cand.is_zero():
-            out.add(ctx.encode(cand))
+        cand = sub(ctx, power(ctx, 2 * i + 1), one(ctx))
+        if not is_zero(cand):
+            out.add(encode(ctx, cand))
     return out
 
 
 def nonsquare_support_codes(ctx):
     """Oracle: D = { n - 1 : n a nonzero non-square } minus zero."""
-    squares = {ctx.encode(power(ctx, 2 * t)) for t in range((ctx.q - 1) // 2)}
+    squares = {encode(ctx, power(ctx, 2 * t)) for t in range((ctx.q - 1) // 2)}
     out = set()
     for code in map(int, ctx.exp_table):
         if code in squares:
             continue
-        elt = sub(ctx, ctx.decode(code), ctx.one())
-        if not elt.is_zero():
-            out.add(ctx.encode(elt))
+        elt = sub(ctx, decode(ctx, code), one(ctx))
+        if not is_zero(elt):
+            out.add(encode(ctx, elt))
     return out
 
 
@@ -49,7 +64,7 @@ def test_support_set_q5():
     d = support_set(ctx)
     assert set(map(int, d.element_codes)) == {1, 2}
     assert set(map(int, d.exponents)) == {0, 1}
-    assert {str(ctx.decode(int(c))) for c in d.element_codes} == {"1", "2"}
+    assert {str(decode(ctx, int(c))) for c in d.element_codes} == {"1", "2"}
 
 
 def test_generate_fixtures():
@@ -76,7 +91,7 @@ def test_bits_match_support_membership():
     seq = generate(ctx)
     member = set(map(int, support_set(ctx).element_codes))
     for t in range(ctx.q - 1):
-        assert bool(seq.bits[t]) == (ctx.encode(power(ctx, t)) in member)
+        assert bool(seq.bits[t]) == (encode(ctx, power(ctx, t)) in member)
 
 
 def test_autocorrelation_fixtures():
@@ -121,19 +136,19 @@ def test_representation_counts(p, m):
     counts = {}
     for t in range(ctx.q - 1):
         x = power(ctx, t)
-        val = mul(ctx, x, sub(ctx, ctx.one(), x))
-        if val.is_zero():
+        val = mul(ctx, x, sub(ctx, one(ctx), x))
+        if is_zero(val):
             continue
         counts[val.coeffs] = counts.get(val.coeffs, 0) + 1
-    squares = {ctx.encode(power(ctx, 2 * t)) for t in range((ctx.q - 1) // 2)}
+    squares = {encode(ctx, power(ctx, 2 * t)) for t in range((ctx.q - 1) // 2)}
     once = 0
     for t in range(ctx.q - 1):
         gamma = power(ctx, t)
-        w = sub(ctx, ctx.one(), mul(ctx, ctx.from_int(4), gamma))
-        if w.is_zero():
+        w = sub(ctx, one(ctx), mul(ctx, from_int(ctx, 4), gamma))
+        if is_zero(w):
             rho = 0
         else:
-            rho = 1 if ctx.encode(w) in squares else -1
+            rho = 1 if encode(ctx, w) in squares else -1
         assert counts.get(gamma.coeffs, 0) == 1 + rho
         once += counts.get(gamma.coeffs, 0) == 1
     assert once == 1
@@ -155,9 +170,9 @@ def test_decimation_is_alpha_swap():
     alt = power(ctx, u)
     member = set(map(int, support_set(ctx).element_codes))
     bits_alt = []
-    x = ctx.one()
+    x = one(ctx)
     for _ in range(ctx.q - 1):
-        bits_alt.append(1 if ctx.encode(x) in member else 0)
+        bits_alt.append(1 if encode(ctx, x) in member else 0)
         x = mul(ctx, x, alt)
     assert bits_alt == [int(b) for b in decimate(seq, u).bits]
 
