@@ -117,19 +117,23 @@ def mobius_factors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def euler_phi(n: int) -> int:
+def euler_phi(n: int, primes: list[int] | None = None) -> int:
+    """phi(n); primes, the prime factors of n, when the caller has them."""
     out = n
-    for r in prime_factors(n):
+    for r in prime_factors(n) if primes is None else primes:
         out -= out // r
     return out
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a modulo n; requires gcd(a, n) = 1, and n and phi(n) factored by prime_factors."""
+def multiplicative_order(a: int, n: int, n_primes: list[int] | None = None) -> int:
+    """Order of a modulo n; requires gcd(a, n) = 1, and n and phi(n) factored by prime_factors.
+
+    n_primes, the prime factors of n, spares factoring n again.
+    """
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
     try:
-        order = euler_phi(n)
+        order = euler_phi(n, n_primes)
         primes = prime_factors(order)
     except ValueError as exc:
         raise ValueError(f"cannot find the order of {a} modulo {n}: {exc}") from None

@@ -54,13 +54,16 @@ class PureCaseParams:
     reason: str
 
 
-def pure_case_params(p: int, m: int, k: int) -> PureCaseParams:
-    """Find the least t with p^t = -1 (mod k); set s = m/(2t) if exact."""
+def pure_case_params(p: int, m: int, k: int, k_primes: list[int] | None = None) -> PureCaseParams:
+    """Find the least t with p^t = -1 (mod k); set s = m/(2t) if exact.
+
+    k_primes, the prime factors of k, spares factoring k again.
+    """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"k = {k} must be an odd integer >= 3")
     if math.gcd(p, k) != 1:
         raise ValueError(f"gcd({p}, {k}) != 1")
-    order = multiplicative_order(p, k)
+    order = multiplicative_order(p, k, k_primes)
     # -1 is the only element of order 2 in the cyclic group <p>, so it is a
     # power of p iff p^(order/2) = -1, and then t = order/2 is the least one
     t = order // 2 if order % 2 == 0 and pow(p, order // 2, k) == k - 1 else None
@@ -340,16 +343,15 @@ def index2_prediction(params: Index2Params) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-def _prime_power(k: int) -> tuple[int, int] | None:
-    fs = prime_factors(k)
-    if len(fs) != 1:
+def _prime_power(k: int, k_primes: list[int]) -> tuple[int, int] | None:
+    """(ell, r) with k = ell^r, from the prime factors of k; None if k has two or more."""
+    if len(k_primes) != 1:
         return None
-    ell = fs[0]
-    r = 0
-    while k % ell == 0:
+    ell, r = k_primes[0], 0
+    while k > 1:
         k //= ell
         r += 1
-    return (ell, r) if k == 1 else None
+    return ell, r
 
 
 def predict(p: int, m: int, k: int) -> Prediction:
@@ -361,10 +363,14 @@ def predict(p: int, m: int, k: int) -> Prediction:
     if pow(p, m, k) != 1:
         q_minus_1 = p**m - 1 if m * p.bit_length() <= 300 else f"{p}^{m} - 1"  # never print a huge p**m
         raise ValueError(f"k = {k} does not divide q - 1 = {q_minus_1}")
-    params = pure_case_params(p, m, k)
+    try:  # factored once, here, for both routes
+        k_primes = prime_factors(k)
+    except ValueError as exc:  # the message multiplicative_order gives when it factors k itself
+        raise ValueError(f"cannot find the order of {p} modulo {k}: {exc}") from None
+    params = pure_case_params(p, m, k, k_primes)
     if params.applicable:
         return pure_prediction(params)
-    pp = _prime_power(k)
+    pp = _prime_power(k, k_primes)
     if pp is not None:
         ell, r = pp  # ell is prime: it came out of prime_factors
         if ell % 8 == 7 and (ell - 1) * ell ** (r - 1) == 2 * params.order:  # index 2

@@ -1,5 +1,7 @@
+import concurrent.futures
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -276,12 +278,75 @@ def test_verify_rejects_a_bad_k_before_building_the_field(monkeypatch, capsys):
 
 def test_grid_refuses_a_q_above_the_direct_bound_before_any_row(monkeypatch, capsys):
     monkeypatch.setattr(slce.cli, "_verify_rows", _refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse)
     rc, out = run(["grid", "--q-max", "20100"])
     assert (rc, out) == (2, "")
     assert capsys.readouterr().err == (
         "error: grid reaches q = 20011 above the direct bound 20000;"
         " pass --predict-only to include prediction-only rows\n"
     )
+    assert multiprocessing.active_children() == []
+
+
+# grid runs its fields on one forked worker per CPU in os.sched_getaffinity(0); one CPU runs them in-process
+SERIAL, POOLED = {0}, {0, 1}
+
+
+@pytest.mark.parametrize("fmt", [["--json"], ["--csv"], []])
+def test_grid_report_is_the_same_from_the_pool_and_in_process(monkeypatch, fmt):
+    reports = []
+    for cpus in (SERIAL, POOLED):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        reports.append(run(["grid", "--q-max", "300", *fmt]))
+        assert multiprocessing.active_children() == []
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and reports[0][1]
+
+
+def test_grid_pool_runs_the_fields_in_worker_processes(monkeypatch):
+    real = slce.cli._verify_rows
+
+    def tagged(p, m, ks, direct):
+        block = real(p, m, ks, direct)
+        block["_timings"]["pid"] = os.getpid()
+        return block
+
+    monkeypatch.setattr(slce.cli, "_verify_rows", tagged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: POOLED)
+    rc, out = run(["grid", "--q-max", "300", "--json", "--timings"])
+    assert rc == 0
+    pids = {block["timings"]["pid"] for block in json.loads(out)["fields"]}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [SERIAL, POOLED])
+def test_grid_error_in_a_field_exits_2_on_both_paths(monkeypatch, capsys, cpus):
+    real = slce.cli._verify_rows
+
+    def boom_at_q_121(p, m, ks, direct):
+        if p**m == 121:
+            raise ValueError("boom")
+        return real(p, m, ks, direct)
+
+    monkeypatch.setattr(slce.cli, "_verify_rows", boom_at_q_121)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    rc, out = run(["grid", "--q-max", "300", "--json"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == "error: boom\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_grid_pool_raises_the_error_of_the_smallest_q_as_the_serial_loop_does(monkeypatch, capsys):
+    def boom(p, m, ks, direct):
+        raise ValueError(f"boom at q = {p**m}")
+
+    monkeypatch.setattr(slce.cli, "_verify_rows", boom)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: POOLED)
+    rc, out = run(["grid", "--q-max", "300"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == "error: boom at q = 3\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_grid_small_and_deterministic():

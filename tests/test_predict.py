@@ -358,6 +358,24 @@ def test_predict_router():
         predict(2, -3, 7)  # 2^-3 = 1 mod 7, but q is no integer
 
 
+def test_predict_factors_k_once_on_the_index2_route(monkeypatch):
+    import slce.fields
+    import slce.predict
+
+    seen = []
+    real = slce.fields.prime_factors
+
+    def counted(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(slce.fields, "prime_factors", counted)
+    monkeypatch.setattr(slce.predict, "prime_factors", counted)
+    pred = predict(229, 35, 71)
+    assert pred.regime == "index2"
+    assert seen.count(71) == 1
+
+
 def test_index2_params_validation():
     params = index2_params(13, 11, 23, 1)
     assert isinstance(params, Index2Params)
