@@ -306,17 +306,44 @@ def _verify_field(field: tuple[int, int, int]) -> dict | ValueError:
         return exc
 
 
+def _tie_to_parent(parent: int) -> None:
+    """Pool initializer: the worker dies with the CLI process and holds none of its output.
+
+    No `finally` runs when the CLI process is killed, so the kernel is asked
+    (PR_SET_PDEATHSIG) to SIGKILL the worker when its parent dies, and the
+    getppid check covers a parent that died before the request.  Stdout and
+    stderr become /dev/null, so a reader of the CLI's output sees EOF when the
+    CLI process ends, not when its last worker does.  Blocks and errors go
+    back through the pool, never through these streams.
+    """
+    import ctypes
+    import signal
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    os.close(devnull)
+    prctl = ctypes.CDLL(None, use_errno=True).prctl  # Linux, as is sched_getaffinity
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    if prctl(1, signal.SIGKILL) != 0:  # 1 = PR_SET_PDEATHSIG
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _verify_fields(fields: list[tuple[int, int, int]]) -> list[dict]:
     """The blocks of `fields` in their order, one forked worker per available CPU.
 
     The fields are independent.  Workers take them largest q first, in chunks
     of 8, so that no heavy field starts last.  The first field in order that
     raised ValueError raises it here, as a serial loop would.  With one CPU
-    (or no `sched_getaffinity`, as on macOS) the fields run here, one by one,
-    and stop at the first error.  The workers are forked, not spawned, so
-    they start from the package as imported here instead of paying ~0.1 s
-    each to import it again; the pool forks them all before it starts its
-    own thread.
+    (or no `sched_getaffinity`, which only Linux has) the fields run here, one
+    by one, and stop at the first error.  The CPUs are those the process may
+    run on; a cgroup CPU quota is not seen.  The workers are forked, not
+    spawned, so they start from the package as imported here instead of
+    paying ~0.1 s each to import it again; the pool forks them all, from this
+    thread, before it starts its own.  Each worker dies with this process
+    (`_tie_to_parent`), and none outlives this call.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(fields))
@@ -326,7 +353,12 @@ def _verify_fields(fields: list[tuple[int, int, int]]) -> list[dict]:
         import multiprocessing  # not at module top: these imports cost every other command ~16 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_tie_to_parent,
+            initargs=(os.getpid(),),
+        )
         try:
             results = list(pool.map(_verify_field, fields[::-1], chunksize=8))[::-1]
         finally:

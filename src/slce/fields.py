@@ -117,30 +117,32 @@ def mobius_factors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def euler_phi(n: int, primes: list[int] | None = None) -> int:
-    """phi(n); primes, the prime factors of n, when the caller has them."""
+def euler_phi(n: int) -> int:
     out = n
-    for r in prime_factors(n) if primes is None else primes:
+    for r in prime_factors(n):
         out -= out // r
     return out
 
 
-def multiplicative_order(a: int, n: int, n_primes: list[int] | None = None) -> int:
-    """Order of a modulo n; requires gcd(a, n) = 1, and n and phi(n) factored by prime_factors.
+def multiplicative_order(a: int, n: int) -> int:
+    """Order of a modulo n; requires gcd(a, n) = 1, and n and phi(n) factored by prime_factors."""
+    return order_and_primes(a, n)[0]
 
-    n_primes, the prime factors of n, spares factoring n again.
-    """
+
+def order_and_primes(a: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """(order of a modulo n, prime factors of n), with n factored once; as multiplicative_order."""
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
     try:
-        order = euler_phi(n, n_primes)
+        n_primes = prime_factors(n)
+        order = n // math.prod(n_primes) * math.prod(r - 1 for r in n_primes)  # phi(n)
         primes = prime_factors(order)
     except ValueError as exc:
         raise ValueError(f"cannot find the order of {a} modulo {n}: {exc}") from None
     for r in primes:
         while order % r == 0 and pow(a, order // r, n) == 1:
             order //= r
-    return order
+    return order, tuple(n_primes)
 
 
 # ---------------------------------------------------------------------------

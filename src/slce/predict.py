@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import is_prime, multiplicative_order, prime_factors
+from .fields import is_prime, order_and_primes
 
 
 class NoClosedForm(ValueError):
@@ -48,30 +48,29 @@ class PureCaseParams:
     m: int
     k: int
     order: int  # of p mod k
+    k_primes: tuple[int, ...]  # prime factors of k
     t: int | None  # least positive t with p^t = -1 mod k, if any
     s: int | None  # m / (2t) when integral
     applicable: bool
     reason: str
 
 
-def pure_case_params(p: int, m: int, k: int, k_primes: list[int] | None = None) -> PureCaseParams:
-    """Find the least t with p^t = -1 (mod k); set s = m/(2t) if exact.
-
-    k_primes, the prime factors of k, spares factoring k again.
-    """
+def pure_case_params(p: int, m: int, k: int) -> PureCaseParams:
+    """Find the least t with p^t = -1 (mod k); set s = m/(2t) if exact."""
     if k < 3 or k % 2 == 0:
         raise ValueError(f"k = {k} must be an odd integer >= 3")
     if math.gcd(p, k) != 1:
         raise ValueError(f"gcd({p}, {k}) != 1")
-    order = multiplicative_order(p, k, k_primes)
+    order, k_primes = order_and_primes(p, k)
     # -1 is the only element of order 2 in the cyclic group <p>, so it is a
     # power of p iff p^(order/2) = -1, and then t = order/2 is the least one
     t = order // 2 if order % 2 == 0 and pow(p, order // 2, k) == k - 1 else None
     if t is None:
-        return PureCaseParams(p, m, k, order, None, None, False, "no power of p is -1 mod k")
+        return PureCaseParams(p, m, k, order, k_primes, None, None, False, "no power of p is -1 mod k")
     if m % (2 * t) != 0:
-        return PureCaseParams(p, m, k, order, t, None, False, f"m = {m} is not a multiple of 2t = {2 * t}")
-    return PureCaseParams(p, m, k, order, t, m // (2 * t), True, "pure")
+        reason = f"m = {m} is not a multiple of 2t = {2 * t}"
+        return PureCaseParams(p, m, k, order, k_primes, t, None, False, reason)
+    return PureCaseParams(p, m, k, order, k_primes, t, m // (2 * t), True, "pure")
 
 
 @dataclass(frozen=True)
@@ -343,7 +342,7 @@ def index2_prediction(params: Index2Params) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-def _prime_power(k: int, k_primes: list[int]) -> tuple[int, int] | None:
+def _prime_power(k: int, k_primes: tuple[int, ...]) -> tuple[int, int] | None:
     """(ell, r) with k = ell^r, from the prime factors of k; None if k has two or more."""
     if len(k_primes) != 1:
         return None
@@ -363,14 +362,10 @@ def predict(p: int, m: int, k: int) -> Prediction:
     if pow(p, m, k) != 1:
         q_minus_1 = p**m - 1 if m * p.bit_length() <= 300 else f"{p}^{m} - 1"  # never print a huge p**m
         raise ValueError(f"k = {k} does not divide q - 1 = {q_minus_1}")
-    try:  # factored once, here, for both routes
-        k_primes = prime_factors(k)
-    except ValueError as exc:  # the message multiplicative_order gives when it factors k itself
-        raise ValueError(f"cannot find the order of {p} modulo {k}: {exc}") from None
-    params = pure_case_params(p, m, k, k_primes)
+    params = pure_case_params(p, m, k)  # factors k, once for both routes
     if params.applicable:
         return pure_prediction(params)
-    pp = _prime_power(k, k_primes)
+    pp = _prime_power(k, params.k_primes)
     if pp is not None:
         ell, r = pp  # ell is prime: it came out of prime_factors
         if ell % 8 == 7 and (ell - 1) * ell ** (r - 1) == 2 * params.order:  # index 2

@@ -349,6 +349,50 @@ def test_grid_pool_raises_the_error_of_the_smallest_q_as_the_serial_loop_does(mo
     assert multiprocessing.active_children() == []
 
 
+def _running(pid):
+    """Whether pid is a live process (a zombie has finished running)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_grid_workers_die_with_a_killed_cli_process(tmp_path):
+    # each worker records its pid and stalls in its first field; the CLI
+    # process is then SIGKILLed, so no `finally` of it runs
+    script = f"""
+import os, sys, time
+import slce.cli
+os.sched_getaffinity = lambda pid: {POOLED!r}
+def stall(p, m, ks, direct):
+    open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+    time.sleep(60)
+slce.cli._verify_rows = stall
+sys.exit(slce.cli.main(["grid", "--q-max", "300", "--json"]))
+"""
+    src = str(Path(slce.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    deadline = time.monotonic() + 30
+    while len(list(tmp_path.iterdir())) < len(POOLED) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    workers = [int(path.name) for path in tmp_path.iterdir()]
+    proc.kill()
+    try:
+        out, err = proc.communicate(timeout=5)  # EOF: no worker holds stdout or stderr
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, 9)
+    assert len(workers) == len(POOLED)
+    assert (out, err) == (b"", b"")
+
+
 def test_grid_small_and_deterministic():
     rc1, out1 = run(["grid", "--q-max", "100", "--json"])
     rc2, out2 = run(["grid", "--q-max", "100", "--json"])

@@ -360,7 +360,6 @@ def test_predict_router():
 
 def test_predict_factors_k_once_on_the_index2_route(monkeypatch):
     import slce.fields
-    import slce.predict
 
     seen = []
     real = slce.fields.prime_factors
@@ -370,7 +369,6 @@ def test_predict_factors_k_once_on_the_index2_route(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(slce.fields, "prime_factors", counted)
-    monkeypatch.setattr(slce.predict, "prime_factors", counted)
     pred = predict(229, 35, 71)
     assert pred.regime == "index2"
     assert seen.count(71) == 1
