@@ -65,9 +65,9 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     if direct:
         t0 = time.perf_counter()
         seq = sequences.generate(ctx)
-        common_factors = gf2poly.gcd_factors(seq.v, gf2poly.Gf2Poly(seq.as_int()), multiplier=p)
+        common_factors = gf2poly.gcd_factors(seq.v, seq.as_int(), p)
         block["gcd_factored"] = gf2poly.factored_str(common_factors)
-        block["linear_complexity"] = seq.v - sum(mult * h.degree for h, mult in common_factors)
+        block["linear_complexity"] = seq.v - sum(mult * (h.bit_length() - 1) for h, mult in common_factors)
         # each g of a row divides x^k + 1 | x^v + 1: g | S2 iff g is an irreducible factor of the gcd
         gcd_irreducibles = {h for h, _ in common_factors}
         timings["sequence_and_gcd_s"] = time.perf_counter() - t0
@@ -86,11 +86,11 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
         row: dict = {"q": q, "k": k}
         if direct:
             ideals = cyclotomic.ideal_factors(k)
-            row["f"] = ideals[0].degree
+            row["f"] = ideals[0].bit_length() - 1
             factors = []
             for g, crit in zip(ideals, cyclotomic.criterion(ctx, k)):
                 div = g in gcd_irreducibles
-                factors.append({"g": str(g), "criterion": crit, "direct": div, "match": crit == div})
+                factors.append({"g": gf2poly.to_str(g), "criterion": crit, "direct": div, "match": crit == div})
                 if crit != div:
                     mismatches += 1
             row["factors"] = factors

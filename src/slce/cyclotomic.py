@@ -18,9 +18,15 @@ strided cumulative sum per factor (x^d - 1)^(+-1).  So a reduction is
 O(2^omega(k)) array operations of length O(k), exact, in O(k) memory.  It
 works in int64 when an a priori bound allows and in Python integers
 otherwise.
-The criterion packs the parity of (K + 1)/2 into a GF(2) polynomial in
-one numpy pass, takes its gcd with Phi_k mod 2 (cached per k, and the
-polynomial `ideal_factors` splits) and reduces that modulo each ideal's g.
+
+The criterion packs the parity u of (K + 1)/2 into a GF(2) polynomial in
+one numpy pass and takes G = gcd(Phi_k mod 2, u) by the step the factored
+gcd with x^v + 1 takes for each Phi_d (`gf2poly.gcd_cyclotomic`).  Its
+multiplier is p: sigma_p fixes K, since J(chi^p, chi^p) = J(chi, chi) and
+4^p = 4, so u(x^p) = u(x) mod Phi_k.  When <2, p> is all of (Z/k)*, or
+the product over its orbits is nonzero mod Phi_k, the certificate shows
+G = 1 without Euclid where the cost model prefers it.  Each ideal's g
+divides Phi_k, so g | u exactly when g | G: one remainder per ideal.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldCtx, euler_phi, mobius_factors
-from .gf2poly import Gf2Poly, cyclotomic_mod2, factor_squarefree, gcd
+from .gf2poly import _from_coefficients, _mod_int, cyclotomic_mod2, factor_squarefree, gcd_cyclotomic
 
 
 def _times_mobius(a: np.ndarray, factors) -> np.ndarray:
@@ -177,8 +183,8 @@ def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
 
 
 @lru_cache(maxsize=None)
-def ideal_factors(k: int) -> tuple[Gf2Poly, ...]:
-    """The prime ideals above 2, each (2, g(zeta_k)) given by its g, sorted by bit pattern.
+def ideal_factors(k: int) -> tuple[int, ...]:
+    """The prime ideals above 2, each (2, g(zeta_k)) given by its bit-packed g, sorted.
 
     The g are the irreducible factors of Phi_k mod 2.  The residue field of
     (2, g(zeta_k)) is GF(2)[x]/(g), of order 2^f with f = deg g = ord_k(2);
@@ -202,6 +208,6 @@ def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     w[0] += 1
     if (w & 1).any():
         raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")
-    # each g divides Phi_k mod 2, so g | u exactly when g | gcd(u, Phi_k)
-    u = gcd(Gf2Poly.from_coeffs((w >> 1) & 1), cyclotomic_mod2(k))
-    return tuple((u % g).is_zero() for g in ideal_factors(k))
+    # u(x^p) = u(x) mod Phi_k; each g divides Phi_k mod 2, so g | u exactly when g | gcd(Phi_k, u)
+    shared = gcd_cyclotomic(k, _from_coefficients((w >> 1) & 1), ctx.p)
+    return tuple(_mod_int(shared, g) == 0 for g in ideal_factors(k))

@@ -244,11 +244,10 @@ def _primitive_element(p: int, m: int, C: np.ndarray) -> tuple[tuple[int, ...], 
 
 def poly_str(coeffs) -> str:
     """Render a GF(p) polynomial, descending powers: 'x^2+4x+1'."""
+    coeffs = np.asarray(coeffs)
+    exponents = np.flatnonzero(coeffs)[::-1]
     terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
+    for i, c in zip(exponents.tolist(), coeffs[exponents].tolist()):
         if i == 0:
             terms.append(str(c))
         else:

@@ -1,6 +1,6 @@
 """Polynomial arithmetic over GF(2): the factored gcd with x^v + 1.
 
-Polynomials are bit-packed: bit i of an integer is the coefficient of x^i.
+Polynomials are bit-packed Python ints: bit i is the coefficient of x^i.
 Addition is xor, squaring is a byte-table bit spread, and remainders come
 from long division that feeds a long dividend into a short running
 remainder a window at a time, so a remainder costs about
@@ -8,32 +8,28 @@ deg(dividend) * deg(divisor) / 64 word operations.  Euclid (`_gcd_int`)
 runs that xor-and-shift loop inline, step after step, and calls the
 windowed division only when a degree gap exceeds the window.
 
-`gcd` is plain Euclid.  The linear-complexity gcd, gcd(x^v + 1, s), is
-never built as one polynomial: `gcd_factors` returns its irreducible
-factors with their multiplicities, one cyclotomic factor of x^v + 1 at a
-time.  With v = 2^e * w and w odd, x^w + 1 is the product of the pairwise
-coprime Phi_d mod 2 over d | w.  Each Phi_d is a Moebius product of
-binomials x^c + 1, built and divided out by shifts and strided prefix
-xors (`_times_binomials`); s is reduced mod Phi_d through
-Psi_d = (x^d + 1)/Phi_d, with no long division.  Then Euclid runs on
-degree phi(d), which costs the sum of phi(d)^2 rather than w^2, the same
-when w is prime.  When the caller names a multiplier p (s(x^p) = s(x)
-mod x^v + 1, as for an SLCE sequence) and a cost model expects it to be
-cheaper, a certificate may settle G_d = 1 first, with t' - 1 float-FFT
-products, t' the number of <2, p>-orbits of (Z/d)*; for t' = 1 it needs
-no product, as G_d = 1 iff s mod Phi_d != 0 (`_multiplier_certificate`).
-Euclid still runs whenever the certificate does not show G_d = 1.  Each
-G_d = gcd(Phi_d, s mod Phi_d) divides x^d + 1, d odd, so its factors are
-split apart by sums of x^j over 2-cyclotomic cosets, not by a general
-method (`factor_squarefree`, which also splits Phi_k mod 2 for the prime
-ideals above 2); the power 2^e enters only through each factor's
-multiplicity.  On a 2-core machine with Python 3.11, `gcd_factors` with
-the SLCE multiplier took 0.004-0.005 s at v = 390,624 (q = 5^8, Euclid
-throughout), 0.015-0.018 s at v = 531,440 (3^12, Euclid throughout),
-0.011-0.016 s at v = 371,292 (13^5, Euclid alone 0.17-0.19 s),
-0.004 s at v = 1,419,856 (17^5, Euclid alone 0.22-0.28 s), 2.1-2.4 s at
-v = 823,542 (7^7, where t' = 52 and 104 keep Euclid) and 0.18 s at
-v = 1,594,322 (3^13, w prime; Euclid alone 17-19 s).
+The linear-complexity gcd, gcd(x^v + 1, s), is never built as one
+polynomial: `gcd_factors` returns its irreducible factors with their
+multiplicities, one cyclotomic factor of x^v + 1 at a time.  With
+v = 2^e * w and w odd, x^w + 1 is the product of the pairwise coprime
+Phi_d mod 2 over d | w.  Each Phi_d is a Moebius product of binomials
+x^c + 1, built and divided out by shifts and strided prefix xors
+(`_times_binomials`); s is reduced mod Phi_d through
+Psi_d = (x^d + 1)/Phi_d, with no long division.  Then one step,
+`gcd_cyclotomic`, finds G_d = gcd(Phi_d, s mod Phi_d) on degree phi(d),
+which costs the sum of phi(d)^2 rather than w^2, the same when w is
+prime.  The criterion of `slce.cyclotomic` takes the same step with
+Phi_k.  Its caller names a multiplier p with r(x^p) = r(x) mod Phi_d (for
+an SLCE sequence, and for the parity of (K + 1)/2, p is the
+characteristic; 1 suits any r).  Where a cost model expects it to be
+cheaper, a certificate may settle G_d = 1 with t' - 1 float-FFT products,
+t' the number of <2, p>-orbits of (Z/d)*; for t' = 1 it needs no product,
+as G_d = 1 iff r != 0 (`_multiplier_certificate`).  Euclid runs whenever
+the certificate does not show G_d = 1.  Each G_d divides x^d + 1, d odd,
+so its factors are split apart by sums of x^j over 2-cyclotomic cosets,
+not by a general method (`factor_squarefree`, which also splits Phi_k
+mod 2 for the prime ideals above 2); the power 2^e enters only through
+each factor's multiplicity.
 
 Degree of the zero polynomial is the sentinel -1; nonzero polynomials over
 GF(2) are automatically monic.
@@ -46,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import divisors, mobius_factors, multiplicative_order, prime_factors
+from .fields import divisors, mobius_factors, multiplicative_order, poly_str, prime_factors
 
 # byte -> bits interleaved with zeros (for squaring)
 _SPREAD = [sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)]
@@ -166,9 +162,9 @@ def _cyclotomic_plan(d: int) -> tuple[int, tuple, tuple]:
     return _times_binomials(1, factors), psi, tuple((c, -e) for c, e in psi)
 
 
-def cyclotomic_mod2(d: int) -> Gf2Poly:
+def cyclotomic_mod2(d: int) -> int:
     """The d-th cyclotomic polynomial mod 2, a Moebius product of the x^c + 1 over c | d."""
-    return Gf2Poly(_cyclotomic_plan(d)[0])
+    return _cyclotomic_plan(d)[0]
 
 
 def _mod_cyclotomic(f: int, d: int) -> int:
@@ -182,65 +178,14 @@ def _mod_cyclotomic(f: int, d: int) -> int:
     return _times_binomials(_fold(_times_binomials(_fold(f, d), psi), d), inverse)
 
 
-class Gf2Poly:
-    """A dense polynomial over GF(2), stored as a bit-packed integer."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int = 0):
-        if bits < 0:
-            raise ValueError("negative bit pattern")
-        self.bits = bits
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "Gf2Poly":
-        packed = np.packbits(np.asarray(coeffs, dtype=np.int64) & 1, bitorder="little")
-        return cls(int.from_bytes(packed.tobytes(), "little"))
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return self.bits.bit_length() - 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Gf2Poly):
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("Gf2Poly", self.bits))
-
-    def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(_mod_int(self.bits, other.bits))
-
-    def __str__(self) -> str:
-        if self.bits == 0:
-            return "0"
-        exponents = np.flatnonzero(_coefficients(self.bits, self.bits.bit_length()))[::-1].tolist()
-        return "+".join("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in exponents)
-
-    def __repr__(self) -> str:
-        return f"Gf2Poly({self})"
-
-
-def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """Monic gcd by Euclid; gcd(f, 0) = f.  Both arguments zero is an error."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    return Gf2Poly(_gcd_int(a.bits, b.bits))
-
-
 # ---------------------------------------------------------------------------
 # Factorization of divisors of x^n + 1, n odd: split by the idempotents of
 # binary cyclic codes, the sums of x^j over the 2-cyclotomic cosets of Z/n.
 # ---------------------------------------------------------------------------
 
 
-def factor_squarefree(f: Gf2Poly, n: int) -> list[Gf2Poly]:
-    """Irreducible factors of a squarefree f whose roots all have order n, sorted by bit pattern.
+def factor_squarefree(f: int, n: int) -> list[int]:
+    """Irreducible factors of a squarefree f whose roots all have order n, sorted.
 
     There are deg f / d of them, each of degree d = ord_n(2).  For each
     2-cyclotomic coset C of Z/n, e_C = sum of x^j over j in C satisfies
@@ -248,10 +193,12 @@ def factor_squarefree(f: Gf2Poly, n: int) -> list[Gf2Poly]:
     codes (MacWilliams and Sloane, ch. 8), and they span Berlekamp's algebra
     of every f | x^n + 1.  So splitting each piece by gcd(piece, e_C mod
     piece), over the cosets C != {0} in turn, separates every factor.
+    Each e_C is set in a byte buffer and read as one int: or-ing each
+    1 << j into a growing int would cost O(n) per bit of a long coset.
     """
     d = multiplicative_order(2, n)
-    count = f.degree // d
-    pieces = [f.bits]
+    count = (f.bit_length() - 1) // d
+    pieces = [f]
     seen = bytearray(n)
     seen[0] = 1
     for c in range(1, n):
@@ -259,12 +206,13 @@ def factor_squarefree(f: Gf2Poly, n: int) -> list[Gf2Poly]:
             break
         if seen[c]:
             continue
-        e_c = 0
+        buf = bytearray((n + 7) // 8)
         j = c
         while not seen[j]:
             seen[j] = 1
-            e_c |= 1 << j
+            buf[j >> 3] |= 1 << (j & 7)
             j = 2 * j % n
+        e_c = int.from_bytes(buf, "little")
         split = []
         for piece in pieces:
             g = _gcd_int(piece, _mod_int(e_c, piece)) if piece.bit_length() - 1 > d else piece
@@ -272,12 +220,12 @@ def factor_squarefree(f: Gf2Poly, n: int) -> list[Gf2Poly]:
         pieces = split
     if len(pieces) != count:
         raise RuntimeError(f"the cyclotomic cosets of Z/{n} did not separate the factors")
-    return sorted(map(Gf2Poly, pieces), key=lambda g: g.bits)
+    return sorted(pieces)
 
 
 # ---------------------------------------------------------------------------
 # A multiplier certificate for gcd(Phi_d, r) = 1.  Let r(x^p) = r(x) mod
-# x^d + 1 with p prime to d, and beta a root of Phi_d.  Then r(beta^(pj)) =
+# Phi_d with p prime to d, and beta a root of Phi_d.  Then r(beta^(pj)) =
 # r(beta^j) and r(beta^(2j)) = r(beta^j)^2, so the zeros of r among the
 # roots beta^j, j in (Z/d)*, form a union of orbits of <2, p>.  Multiplying
 # j by a unit permutes the orbits, so N = prod r(x^a), over one a per orbit,
@@ -292,6 +240,12 @@ def _coefficients(a: int, n: int) -> np.ndarray:
     """Coefficients 0 .. n - 1 of a as a uint8 array; a has degree < n."""
     packed = np.frombuffer(a.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def _from_coefficients(coeffs: np.ndarray) -> int:
+    """The polynomial whose coefficients, constant first, are the 0/1 entries of coeffs."""
+    packed = np.packbits(np.asarray(coeffs, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def _smooth_length(n: int) -> int:
@@ -346,12 +300,13 @@ def _multiplier_group(d: int, p: int) -> np.ndarray:
 def _multiplier_certificate(r: int, d: int, p: int, group: np.ndarray) -> bool | None:
     """Whether gcd(Phi_d, r) = 1, r of degree < d, from the multiplier p; group is `_multiplier_group(d, p)`.
 
-    None when it cannot tell: r(x^p) != r(x) mod x^d + 1, or a float
+    None when it cannot tell: r(x^p) != r(x) mod Phi_d, or a float
     product is not near integers.
     """
     coeffs = _coefficients(r, d)
     index = np.arange(d, dtype=np.int64)
-    if not np.array_equal(coeffs[index * (p % d) % d], coeffs):
+    # the gather is r(x^(1/p)) mod x^d + 1, equal to r mod Phi_d exactly when r(x^p) is
+    if _mod_cyclotomic(_from_coefficients(coeffs[index * (p % d) % d]), d) != _mod_cyclotomic(r, d):
         return None
     unseen = np.ones(d, dtype=bool)  # units of Z/d in no orbit so far
     for ell in prime_factors(d):
@@ -364,7 +319,7 @@ def _multiplier_certificate(r: int, d: int, p: int, group: np.ndarray) -> bool |
         product = _product_mod2(product, coeffs[index * pow(a, -1, d) % d], d)  # times r(x^a)
         if product is None:
             return None
-    return _mod_cyclotomic(Gf2Poly.from_coeffs(product).bits, d) != 0
+    return _mod_cyclotomic(_from_coefficients(product), d) != 0
 
 
 # Cost model, in seconds on a 2-core x86-64 machine with Python 3.11 and
@@ -378,65 +333,71 @@ _SETUP_PER_D_S = 4e-8
 _PRODUCT_S = 4e-9
 
 
-def _coprime_by_multiplier(f: int, d: int, p: int) -> bool:
-    """True when the multiplier certificate is cheaper than Euclid and shows gcd(Phi_d, f) = 1."""
-    phi = _cyclotomic_plan(d)[0].bit_length() - 1
+def gcd_cyclotomic(d: int, r: int, multiplier: int) -> int:
+    """gcd(Phi_d mod 2, r) for r reduced mod Phi_d and a multiplier p of r: r(x^p) = r(x) mod Phi_d.
+
+    Where the cost model expects it to be cheaper than Euclid, the
+    multiplier certificate may show that the gcd is 1; Euclid decides
+    everything else.  Every r has the multiplier 1.
+    """
+    phi_d = cyclotomic_mod2(d)
+    phi = phi_d.bit_length() - 1
     euclid = _EUCLID_S * phi * phi
     setup = _SETUP_S + _SETUP_PER_D_S * d
-    if setup >= euclid or math.gcd(p, d) != 1:
-        return False
-    group = _multiplier_group(d, p)
-    n = _smooth_length(2 * d - 1)
-    if setup + (phi // group.size - 1) * _PRODUCT_S * n * math.log2(n) >= euclid:
-        return False
-    return _multiplier_certificate(_fold(f, d), d, p, group) is True
+    if r and setup < euclid and math.gcd(multiplier, d) == 1:
+        group = _multiplier_group(d, multiplier)
+        n = _smooth_length(2 * d - 1)
+        products = (phi // group.size - 1) * _PRODUCT_S * n * math.log2(n)
+        if setup + products < euclid and _multiplier_certificate(r, d, multiplier, group):
+            return 1
+    return _gcd_int(phi_d, r)
 
 
-def gcd_factors(v: int, s: Gf2Poly, multiplier: int | None = None) -> list[tuple[Gf2Poly, int]]:
-    """gcd(x^v + 1, s) as (irreducible, multiplicity) pairs, sorted by (degree, bit pattern).
+def gcd_factors(v: int, s: int, multiplier: int) -> list[tuple[int, int]]:
+    """gcd(x^v + 1, s) as (irreducible, multiplicity) pairs, sorted by the irreducible.
 
-    With v = 2^e * w and w odd, x^v + 1 = (x^w + 1)^(2^e), and x^w + 1 is
-    the product of the Phi_d mod 2 over d | w, squarefree and pairwise
-    coprime.  So the factors of the gcd whose roots have order d are those
-    of G_d = gcd(Phi_d, s mod Phi_d): one Euclid on degree phi(d), after a
-    reduction through Psi_d (`_mod_cyclotomic`), and a coset split
-    (`factor_squarefree`).  Each such h enters the gcd min(2^e, nu_h(s))
-    times, which is deg gcd(h^(2^e), s mod h^(2^e)) / deg h; h^(2^e)
-    divides x^(d 2^e) + 1, so s may first be folded mod that binomial.
-    s = 0 gives the factorization of x^v + 1.
+    Sorting the bit-packed irreducibles as ints sorts them by degree, then
+    by bit pattern.  With v = 2^e * w and w odd, x^v + 1 = (x^w + 1)^(2^e),
+    and x^w + 1 is the product of the Phi_d mod 2 over d | w, squarefree
+    and pairwise coprime.  So the factors of the gcd whose roots have order
+    d are those of G_d = gcd(Phi_d, s mod Phi_d): one `gcd_cyclotomic` on
+    degree phi(d), after a reduction through Psi_d (`_mod_cyclotomic`), and
+    a coset split (`factor_squarefree`).  Each such h enters the gcd
+    min(2^e, nu_h(s)) times, which is deg gcd(h^(2^e), s mod h^(2^e)) /
+    deg h; h^(2^e) divides x^(d 2^e) + 1, so s may first be folded mod that
+    binomial.  s = 0 gives the factorization of x^v + 1.
 
-    A multiplier p, an integer with s(x^p) = s(x) mod x^v + 1 (the SLCE
-    support set is fixed by t -> p t), lets a G_d = 1 be certified without
-    Euclid where the cost model expects that to be cheaper
-    (`_coprime_by_multiplier`); the property is checked, and Euclid runs
-    whenever the certificate does not settle G_d = 1.
+    The multiplier p has s(x^p) = s(x) mod x^v + 1 (the SLCE support set is
+    fixed by t -> p t; 1 suits any s), so each s mod Phi_d has it too.
     """
     e = (v & -v).bit_length() - 1
     w = v >> e
-    f = _fold(s.bits, w)
+    f = _fold(s, w)
     found = []
     for d in divisors(w):
-        rem = _mod_cyclotomic(f, d)
-        if rem and multiplier is not None and _coprime_by_multiplier(f, d, multiplier):
-            continue
-        g = _gcd_int(_cyclotomic_plan(d)[0], rem)
+        g = gcd_cyclotomic(d, _mod_cyclotomic(f, d), multiplier)
         if g == 1:
             continue
-        folded = _fold(s.bits, d << e)
-        for h in factor_squarefree(Gf2Poly(g), d):
-            top = h.bits
+        folded = _fold(s, d << e)
+        for h in factor_squarefree(g, d):
+            top = h
             for _ in range(e):
                 top = _sqr_int(top)
             shared = _gcd_int(top, _mod_int(folded, top))
-            found.append((h, (shared.bit_length() - 1) // h.degree))
-    return sorted(found, key=lambda item: (item[0].degree, item[0].bits))
+            found.append((h, (shared.bit_length() - 1) // (h.bit_length() - 1)))
+    return sorted(found)
 
 
-def factored_str(factors: list[tuple[Gf2Poly, int]]) -> str:
+def to_str(g: int) -> str:
+    """g with descending powers, as `fields.poly_str` prints it: 'x^3+x+1'; '0' for zero."""
+    return poly_str(_coefficients(g, g.bit_length()))
+
+
+def factored_str(factors: list[tuple[int, int]]) -> str:
     """Canonical rendering: '(x+1)^4 (x^2+x+1)^10'; '1' for an empty product."""
     if not factors:
         return "1"
     parts = []
     for g, e in factors:
-        parts.append(f"({g})" + (f"^{e}" if e != 1 else ""))
+        parts.append(f"({to_str(g)})" + (f"^{e}" if e != 1 else ""))
     return " ".join(parts)

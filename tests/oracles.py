@@ -54,9 +54,9 @@ matrix, independent of the Frobenius sum in `gaussnum._traces`.
 The element operations (`encode`, `decode`, `zero`, `one`, `from_int`,
 arithmetic, `dlog`, `trace`) act on one field element at a time through
 the exponent and log tables of a context; the tests use them to check the
-tables and the vectorised constructions built on them.  `mul_int`,
-`poly_add` and `poly_mul` multiply and add in GF(2)[x], which the
-package never needs to.
+tables and the vectorised constructions built on them.  GF(2)[x]
+polynomials are bit-packed ints, as in `slce.gf2poly`; `mul_int`
+multiplies them, which the package never needs to.
 """
 
 import warnings
@@ -78,7 +78,7 @@ from slce.fields import (
     multiplicative_order,
     prime_factors,
 )
-from slce.gf2poly import Gf2Poly, _divmod_int, _gcd_int, _mod_int, _sqr_int, gcd
+from slce.gf2poly import _divmod_int, _gcd_int, _mod_int, _sqr_int, to_str
 from slce.predict import (
     Index2Params,
     NoClosedForm,
@@ -90,10 +90,6 @@ from slce.predict import (
     pure_prediction,
 )
 from slce.sequences import BitSeq
-
-X = Gf2Poly(2)
-ONE = Gf2Poly(1)
-
 
 # ---------------------------------------------------------------------------
 # GF(2)[x]: Euclid, irreducibility, products, linear complexity.
@@ -112,28 +108,19 @@ def mul_int(a: int, b: int) -> int:
     return r
 
 
-def poly_add(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """a + b, which over GF(2) is also a - b."""
-    return Gf2Poly(a.bits ^ b.bits)
-
-
-def poly_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    return Gf2Poly(mul_int(a.bits, b.bits))
-
-
-def x_pow_plus_one(v: int) -> Gf2Poly:
+def x_pow_plus_one(v: int) -> int:
     """x^v + 1."""
-    return Gf2Poly((1 << v) | 1)
+    return (1 << v) | 1
 
 
-def poly_from_seq(seq) -> Gf2Poly:
+def poly_from_seq(seq) -> int:
     """Sequence polynomial: coefficient t equals bits[t] of one period."""
-    return Gf2Poly(seq.as_int())
+    return seq.as_int()
 
 
-def divides(g: Gf2Poly, s: Gf2Poly) -> bool:
+def divides(g: int, s: int) -> bool:
     """g | s, by one remainder of s against all of g."""
-    return (s % g).is_zero()
+    return _mod_int(s, g) == 0
 
 
 def gcd_by_divmod(a: int, b: int) -> int:
@@ -143,44 +130,44 @@ def gcd_by_divmod(a: int, b: int) -> int:
     return a
 
 
-def is_irreducible(f: Gf2Poly) -> bool:
+def is_irreducible(f: int) -> bool:
     """Ben-Or test: no factor of degree <= degree/2."""
-    d = f.degree
+    d = f.bit_length() - 1
     if d < 1:
         return False
     if d == 1:
         return True
-    t = _mod_int(2, f.bits)  # the polynomial x
+    t = _mod_int(2, f)  # the polynomial x
     for _ in range(d // 2):
-        t = _mod_int(_sqr_int(t), f.bits)
-        if _gcd_int(t ^ 2, f.bits).bit_length() - 1 != 0:
+        t = _mod_int(_sqr_int(t), f)
+        if _gcd_int(t ^ 2, f) != 1:
             return False
     return True
 
 
-def all_ones_poly(k: int) -> Gf2Poly:
+def all_ones_poly(k: int) -> int:
     """1 + x + ... + x^(k-1)."""
-    return Gf2Poly((1 << k) - 1)
+    return (1 << k) - 1
 
 
-def recombine(factors: list[tuple[Gf2Poly, int]]) -> Gf2Poly:
-    out = ONE
+def recombine(factors: list[tuple[int, int]]) -> int:
+    out = 1
     for g, e in factors:
         for _ in range(e):
-            out = poly_mul(out, g)
+            out = mul_int(out, g)
     return out
 
 
 def linear_complexity(seq) -> int:
     """v - deg gcd(x^v + 1, sequence polynomial); 0 for the zero sequence."""
     s2 = poly_from_seq(seq)
-    if s2.is_zero():
+    if s2 == 0:
         warnings.warn("all-zero sequence: linear complexity 0 by convention")
         return 0
-    return seq.v - gcd(x_pow_plus_one(seq.v), s2).degree
+    return seq.v - (_gcd_int(x_pow_plus_one(seq.v), s2).bit_length() - 1)
 
 
-def berlekamp_massey(seq, n_terms: int | None = None) -> tuple[int, Gf2Poly]:
+def berlekamp_massey(seq, n_terms: int | None = None) -> tuple[int, int]:
     """Shortest-register synthesis from two periods of the sequence.
 
     Returns (L, connection polynomial c with c_0 = 1, ascending bits).  The
@@ -209,16 +196,16 @@ def berlekamp_massey(seq, n_terms: int | None = None) -> tuple[int, Gf2Poly]:
                 big_l = n + 1 - big_l
                 b_poly = t
                 last = n
-    return big_l, Gf2Poly(c)
+    return big_l, c
 
 
-def lfsr_regenerate(connection: Gf2Poly, big_l: int, seed: list[int], count: int) -> list[int]:
+def lfsr_regenerate(connection: int, big_l: int, seed: list[int], count: int) -> list[int]:
     """Run the register s_n = sum_(i=1..L) c_i s_(n-i) from the seed bits."""
     out = list(seed[:big_l])
     for n in range(len(out), count):
         acc = 0
         for i in range(1, big_l + 1):
-            acc ^= (connection.bits >> i) & out[n - i]
+            acc ^= (connection >> i) & out[n - i]
         out.append(acc)
     return out[:count]
 
@@ -344,22 +331,22 @@ def half_K_plus_one(ctx: FieldCtx, k: int) -> CycInt:
     return CycInt(k, tuple(c >> 1 for c in w))
 
 
-def parity(a: CycInt) -> Gf2Poly:
+def parity(a: CycInt) -> int:
     """The coordinates of a mod 2, as a polynomial in zeta over GF(2)."""
-    return Gf2Poly(int("".join("1" if c & 1 else "0" for c in reversed(a.coeffs)), 2))
+    return int("".join("1" if c & 1 else "0" for c in reversed(a.coeffs)), 2)
 
 
-def reduce_mod_ideal(a: CycInt, g: Gf2Poly) -> Gf2Poly:
+def reduce_mod_ideal(a: CycInt, g: int) -> int:
     """Residue of a modulo the ideal (2, g(zeta_k)): coordinates mod 2, then zeta -> x mod g."""
     if g not in cyclotomic.ideal_factors(a.k):
-        raise ValueError(f"{g} is not an irreducible factor of Phi_{a.k} mod 2")
-    return parity(a) % g
+        raise ValueError(f"{to_str(g)} is not an irreducible factor of Phi_{a.k} mod 2")
+    return _mod_int(parity(a), g)
 
 
 def criterion_by_elements(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     """`criterion` through CycInt: (K + 1)/2 reduced modulo each ideal in turn."""
     u = half_K_plus_one(ctx, k)
-    return tuple(reduce_mod_ideal(u, g).is_zero() for g in cyclotomic.ideal_factors(k))
+    return tuple(reduce_mod_ideal(u, g) == 0 for g in cyclotomic.ideal_factors(k))
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +468,13 @@ def cyclotomic_cosets(k: int) -> list[list[int]]:
     return orbits
 
 
-def smallest_irreducible(degree: int) -> Gf2Poly:
+def smallest_irreducible(degree: int) -> int:
     """The degree-d irreducible over GF(2) with the smallest bit pattern."""
     if degree == 1:
-        return X
+        return 2  # x
     for cand in range((1 << degree) + 1, 1 << (degree + 1), 2):
-        if is_irreducible(Gf2Poly(cand)):
-            return Gf2Poly(cand)
+        if is_irreducible(cand):
+            return cand
     raise RuntimeError(f"no irreducible of degree {degree}")  # unreachable
 
 
@@ -505,7 +492,7 @@ def _element_of_order(k: int, modulus: int, f: int) -> int:
         g += 1
 
 
-def _orbit_min_poly(beta: int, orbit: list[int], modulus: int) -> Gf2Poly:
+def _orbit_min_poly(beta: int, orbit: list[int], modulus: int) -> int:
     # product of (x - beta^c) over the orbit; coefficients must land in GF(2)
     poly = [1]
     for c in orbit:
@@ -521,10 +508,10 @@ def _orbit_min_poly(beta: int, orbit: list[int], modulus: int) -> Gf2Poly:
             bits |= 1 << i
         elif coef != 0:
             raise RuntimeError("orbit product has a coefficient outside GF(2)")
-    return Gf2Poly(bits)
+    return bits
 
 
-def coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], Gf2Poly]]:
+def coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], int]]:
     """(coset, minimal polynomial) for every nonzero 2-cyclotomic coset mod k.
 
     Built inside an explicit GF(2^f), f = ord_k(2), independently of any
@@ -533,7 +520,7 @@ def coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], Gf2Poly]]:
     if k % 2 == 0:
         raise ValueError("k must be odd")
     f = multiplicative_order(2, k)
-    modulus = smallest_irreducible(f).bits
+    modulus = smallest_irreducible(f)
     beta = _element_of_order(k, modulus, f)
     out = []
     for orbit in cyclotomic_cosets(k):
@@ -543,14 +530,14 @@ def coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], Gf2Poly]]:
     return out
 
 
-def coprime_coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], Gf2Poly]]:
+def coprime_coset_minimal_polys(k: int) -> list[tuple[tuple[int, ...], int]]:
     """The pairs of `coset_minimal_polys` for the elements of order exactly k."""
     return [(orbit, g) for orbit, g in coset_minimal_polys(k) if intgcd(orbit[0], k) == 1]
 
 
-def minimal_polys_of_order(k: int) -> list[Gf2Poly]:
+def minimal_polys_of_order(k: int) -> list[int]:
     """Distinct minimal polynomials of the elements of order exactly k."""
-    return sorted({g for _, g in coprime_coset_minimal_polys(k)}, key=lambda g: g.bits)
+    return sorted({g for _, g in coprime_coset_minimal_polys(k)})
 
 
 # ---------------------------------------------------------------------------
@@ -653,21 +640,19 @@ def _berlekamp_factors(f: int) -> list[int]:
     return pieces
 
 
-def berlekamp_factor(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
+def berlekamp_factor(f: int) -> list[tuple[int, int]]:
     """Complete factorization into (irreducible, multiplicity) pairs.
 
-    Pairs are sorted by (degree, bit pattern); the product recombines to f.
+    Pairs are sorted by the irreducible, that is by (degree, bit pattern);
+    the product recombines to f.
     """
-    if f.is_zero() or f.degree < 1:
+    if f < 2:
         raise ValueError("factor requires a nonzero polynomial of degree >= 1")
     found: dict[int, int] = {}
-    for part, mult in _squarefree_parts(f.bits).items():
+    for part, mult in _squarefree_parts(f).items():
         for g in _berlekamp_factors(part):
             found[g] = found.get(g, 0) + mult
-    return sorted(
-        ((Gf2Poly(g), e) for g, e in found.items()),
-        key=lambda item: (item[0].degree, item[0].bits),
-    )
+    return sorted(found.items())
 
 
 # ---------------------------------------------------------------------------

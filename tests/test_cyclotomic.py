@@ -24,10 +24,10 @@ from oracles import (
     half_K_plus_one,
     is_zero,
     jacobi_with_rho,
+    mul_int,
     one,
-    poly_add,
+    parity,
     poly_from_seq,
-    poly_mul,
     power,
     reduce_by_long_division,
     reduce_mod_ideal,
@@ -38,7 +38,7 @@ from slce import cyclotomic
 from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import CycInt, _l1, _reduce, criterion, ideal_factors, jacobi_K
 from slce.fields import build_field, divisors
-from slce.gf2poly import Gf2Poly
+from slce.gf2poly import _gcd_int, _mod_int, _multiplier_certificate, _multiplier_group, cyclotomic_mod2, gcd_cyclotomic, to_str
 from slce.sequences import generate
 
 
@@ -238,11 +238,11 @@ def test_jacobi_K_validation_errors():
 
 def test_ideal_factors_fixtures():
     f5 = ideal_factors(5)
-    assert len(f5) == 1 and str(f5[0]) == "x^4+x^3+x^2+x+1" and f5[0].degree == 4
+    assert len(f5) == 1 and to_str(f5[0]) == "x^4+x^3+x^2+x+1" and f5[0].bit_length() - 1 == 4
     f7 = ideal_factors(7)
-    assert [str(g) for g in f7] == ["x^3+x+1", "x^3+x^2+1"]
+    assert [to_str(g) for g in f7] == ["x^3+x+1", "x^3+x^2+1"]
     f3 = ideal_factors(3)
-    assert len(f3) == 1 and str(f3[0]) == "x^2+x+1"
+    assert len(f3) == 1 and to_str(f3[0]) == "x^2+x+1"
     with pytest.raises(ValueError):
         ideal_factors(6)
 
@@ -253,9 +253,9 @@ def test_ideal_factors_match_coset_oracle():
     for k in [*range(3, 150, 2), 255, 511, 1023]:
         pairs = coprime_coset_minimal_polys(k)
         ideals = ideal_factors(k)
-        assert list(ideals) == sorted((g for _, g in pairs), key=lambda g: g.bits), k
+        assert list(ideals) == sorted(g for _, g in pairs), k
         coset_of = {g: orbit for orbit, g in pairs}
-        assert all(len(coset_of[g]) == g.degree for g in ideals), k
+        assert all(len(coset_of[g]) == g.bit_length() - 1 for g in ideals), k
         units = [j for j in range(1, k) if math.gcd(j, k) == 1]
         assert sorted(j for orbit, _ in pairs for j in orbit) == units, k
     assert {orbit for orbit, _ in coprime_coset_minimal_polys(7)} == {(1, 2, 4), (3, 6, 5)}
@@ -268,11 +268,11 @@ def test_ideal_factors_match_coset_oracle():
 def test_reduce_mod_ideal_fixtures():
     g = ideal_factors(5)[0]
     two = from_integer(5, 2)
-    assert reduce_mod_ideal(two, g).is_zero()
+    assert reduce_mod_ideal(two, g) == 0
     zeta = zeta_power(5, 1)
-    assert reduce_mod_ideal(zeta, g) == Gf2Poly(0b10)
+    assert reduce_mod_ideal(zeta, g) == 0b10
     zero_sum = CycInt.from_exponent_counts(3, [1, 1, 1])
-    assert reduce_mod_ideal(zero_sum, ideal_factors(3)[0]).is_zero()
+    assert reduce_mod_ideal(zero_sum, ideal_factors(3)[0]) == 0
     with pytest.raises(ValueError):
         reduce_mod_ideal(zeta, ideal_factors(3)[0])
 
@@ -286,14 +286,14 @@ def test_reduce_mod_ideal_is_ring_hom(k):
             a = CycInt(k, tuple(rng.randrange(-9, 10) for _ in range(phi)))
             b = CycInt(k, tuple(rng.randrange(-9, 10) for _ in range(phi)))
             ra, rb = reduce_mod_ideal(a, g), reduce_mod_ideal(b, g)
-            assert reduce_mod_ideal(cyc_add(a, b), g) == poly_add(ra, rb) % g
-            assert reduce_mod_ideal(cyc_mul(a, b), g) == poly_mul(ra, rb) % g
+            assert reduce_mod_ideal(cyc_add(a, b), g) == _mod_int(ra ^ rb, g)
+            assert reduce_mod_ideal(cyc_mul(a, b), g) == _mod_int(mul_int(ra, rb), g)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9, 11, 15, 21, 23])
 def test_distinct_zeta_powers_stay_distinct_mod_every_ideal(k):
     for g in ideal_factors(k):
-        residues = {reduce_mod_ideal(zeta_power(k, j), g).bits for j in range(k)}
+        residues = {reduce_mod_ideal(zeta_power(k, j), g) for j in range(k)}
         assert len(residues) == k
 
 
@@ -351,6 +351,35 @@ def test_criterion_matches_element_path_on_every_row_to_3000():
                 assert criterion(ctx, k) == criterion_by_elements(ctx, k), (q, k)
                 rows += 1
     assert rows == 1664
+
+
+def test_parity_of_half_K_plus_one_has_the_multiplier_p_on_every_row_to_3000():
+    # sigma_p fixes K, so u = (K + 1)/2 mod 2 has u(x^p) = u(x) mod Phi_k, the property that
+    # lets the criterion take gcd_cyclotomic's certificate with the multiplier p
+    rows = uniform = 0
+    for q, p, m in _odd_prime_powers_upto(3000):
+        ctx = build_field(p, m)
+        for k in divisors(q - 1):
+            if k % 2 == 0 or k < 3:
+                continue
+            u = parity(half_K_plus_one(ctx, k))
+            phi_k = cyclotomic_mod2(k)
+            u_of_x_p = 0
+            for j in range(u.bit_length()):
+                u_of_x_p ^= ((u >> j) & 1) << (j * p % k)
+            assert _mod_int(u_of_x_p, phi_k) == u, (q, k)
+            shared = _gcd_int(phi_k, u)
+            assert gcd_cyclotomic(k, u, p) == shared, (q, k)
+            group = _multiplier_group(k, p)
+            assert _multiplier_certificate(u, k, p, group) == (shared == 1), (q, k)
+            verdicts = criterion(ctx, k)
+            if group.size == len(cyclotomic_poly(k)) - 1 and len(verdicts) >= 2:
+                # <2, p> = (Z/k)*: one orbit, so every ideal gets the verdict u == 0
+                assert set(verdicts) == {u == 0}, (q, k)
+                uniform += 1
+            rows += 1
+    assert rows == 1664
+    assert uniform == 16
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (31, 1), (3, 4), (11, 2)])
