@@ -216,8 +216,12 @@ def cmd_seq(args, out) -> int:
         text = sequences.sequence_text(seq)
         print(f"# p={args.p} m={args.m} q={ctx.q} weight={seq.weight()}", file=sys.stderr)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         out.write(text)
     return 0

@@ -171,8 +171,7 @@ def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
     _require_valid_k(ctx, k)
     q = ctx.q
     i = np.arange(1, q - 1, dtype=np.int64)
-    dlog4 = int(ctx.dlog_table[4 % ctx.p])  # the code of a constant c is c mod p
-    classes = (i + ctx.zech_table[1 : q - 1] + dlog4) % k
+    classes = (i + ctx.zech_table[1 : q - 1] + ctx.log4) % k
     counts = np.bincount(classes, minlength=k)
     return CycInt.from_exponent_counts(k, counts)
 

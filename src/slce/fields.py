@@ -1,4 +1,4 @@
-"""Explicit finite fields GF(p^m) with full exponent and discrete-log tables.
+"""Explicit finite fields GF(p^m), kept as their Zech logarithm table.
 
 A field context is deterministic: the modulus is the lexicographically
 smallest monic irreducible of its degree (coefficient tuple ordered
@@ -8,22 +8,21 @@ both, so results are reproducible bit for bit.
 
 All arithmetic goes through the companion matrix C of the modulus f, the
 matrix of multiplication by x on GF(p)[x]/(f): an element g is the matrix
-g(C), whose column i holds the coordinates of g * x^i.  The full tables
-(alpha^t by exponent, discrete log by element, and the Zech logarithm, the
-log of 1 - alpha^t) turn character sums and sequence constructions into
-O(q) array lookups.  The exponent table comes from giant steps by a power
-of the matrix of alpha, in float64 so that the products run in BLAS; they
-are exact because m (p - 1)^2 + p < 2^53 for every field up to
-FIELD_SIZE_BOUND.  The Zech table is read off the other two through
--1 = alpha^((q-1)/2): 1 - alpha^t = -(alpha^t - 1), and alpha^t - 1 differs
-from alpha^t in the constant coordinate only.  Intended scale is q up to
-FIELD_SIZE_BOUND; memory is three int64 arrays of length about q.
+g(C), whose column i holds the coordinates of g * x^i.  The package reads
+a field only through the Zech logarithm, the log of 1 - alpha^t (the
+sequence reads its parity, the Jacobi sum counts it by class), and the log
+of 4.  The powers of alpha come from giant steps by a power of the matrix
+of alpha, in float64 so that the products run in BLAS; they are exact
+because m (p - 1)^2 + p < 2^53 for every field up to FIELD_SIZE_BOUND.
+Their logs, kept only while the context is built, give the Zech table
+through -1 = alpha^((q-1)/2): 1 - alpha^t = -(alpha^t - 1), and alpha^t - 1
+differs from alpha^t in the constant coordinate only.  Intended scale is q
+up to FIELD_SIZE_BOUND; a context keeps one int64 array of length q - 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice, product
 
 import numpy as np
@@ -283,22 +282,13 @@ def field_order(p: int, m: int) -> int:
     return p**m
 
 
-@dataclass(frozen=True)
-class FieldElt:
-    """Field element as coordinates in the power basis of the modulus."""
-
-    coeffs: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return poly_str(self.coeffs)
-
-
 class FieldCtx:
-    """A concrete GF(p^m) with canonical modulus, generator and log tables.
+    """A concrete GF(p^m): canonical modulus and generator, and the Zech table.
 
-    The tables index an element by its code, sum c_i p^i over its
-    coordinates c_i (constant first): exp_table[t] is the code of alpha^t
-    and dlog_table[code] is t (-1 for zero).  Immutable after construction; all operations are pure, so a context is
+    `alpha` is the generator's coordinate tuple, constant first, as
+    `modulus` is the modulus's.  zech_table[t] is the log of 1 - alpha^t
+    (-1 at t = 0, where 1 - alpha^t = 0), and log4 is the log of 4.
+    Immutable after construction; all operations are pure, so a context is
     safe to share across threads.
     """
 
@@ -310,12 +300,11 @@ class FieldCtx:
         self.m = m
         self.q = q
         self.modulus = canonical_modulus(p, m)
-        alpha, A = _primitive_element(p, m, _companion(self.modulus, p))
-        self.alpha = FieldElt(alpha)
+        self.alpha, A = _primitive_element(p, m, _companion(self.modulus, p))
         self._build_tables(A)
 
     def _build_tables(self, A: np.ndarray) -> None:
-        """exp, dlog and zech tables from A, the matrix of multiplication by alpha.
+        """zech_table and log4 from A, the matrix of multiplication by alpha.
 
         The columns of X are the coordinates of alpha^t for one block of t,
         and a giant step X <- A^block X mod p moves to the next block.  The
@@ -323,14 +312,17 @@ class FieldCtx:
         in [0, p), so every partial sum of a dot product is an integer of at
         most m (p - 1)^2, and that plus p stays below 2^53 for every field up
         to FIELD_SIZE_BOUND (a test pins this), as `_reduce_mod` needs to
-        bring the products back into [0, p).  Codes sum to below q.
+        bring the products back into [0, p).  The code of an element, below
+        q, is sum c_i p^i over its coordinates c_i; a discrete log table,
+        dlog[code of alpha^t] = t, lives only while the context is built.
 
         The Zech logarithm zech[t] = dlog(1 - alpha^t) needs no second pass
         over the coordinates: -1 = alpha^(n/2), so 1 - alpha^t is
         alpha^(n/2) (alpha^t - 1), and alpha^t - 1 differs from alpha^t only
-        in the constant coordinate c0.  Its code is exp[t] - c0 + (c0 - 1)
-        mod p, that is exp[t] - 1, or exp[t] + p - 1 when c0 = 0; then
-        zech[t] = dlog[that code] + n/2 mod n, and zech[0] = -1.
+        in the constant coordinate c0.  Its code is that of alpha^t minus 1,
+        or plus p - 1 when c0 = 0; then zech[t] = dlog[that code] + n/2 mod
+        n, and zech[0] = -1.  A constant c has the code c mod p, so log4 is
+        dlog[4 mod p].
         """
         p, m, q = self.p, self.m, self.q
         n = q - 1
@@ -346,7 +338,6 @@ class FieldCtx:
             step = _reduce_mod(step @ step, p)
 
         pow_p = p ** np.arange(m, dtype=np.float64)
-        exp = np.empty(n, dtype=np.int64)
         zech = np.empty(n, dtype=np.int64)  # the code of alpha^t - 1 until dlog is known
         dlog = np.full(q, -1, dtype=np.int64)
         codes = np.empty(block)
@@ -357,8 +348,7 @@ class FieldCtx:
         while start < n:
             width = min(block, n - start)
             np.matmul(pow_p, X, out=codes)
-            exp[start : start + width] = codes[:width]
-            dlog[exp[start : start + width]] = np.arange(start, start + width)
+            dlog[codes[:width].astype(np.int64)] = np.arange(start, start + width)
             codes += p * (X[0] == 0) - 1
             zech[start : start + width] = codes[:width]
             start += width
@@ -367,19 +357,16 @@ class FieldCtx:
                 X, next_X = next_X, X
 
         if np.count_nonzero(dlog < 0) != 1 or dlog[0] != -1:
-            raise RuntimeError("exponent table is not a bijection; element is not primitive")
+            raise RuntimeError("the powers of alpha are not a bijection; element is not primitive")
 
         for start in range(0, n, block):
             zech[start : start + block] = dlog[zech[start : start + block]]
         zech += n // 2
         zech %= n
         zech[0] = -1  # 1 - alpha^0 = 0
-
-        self.exp_table = exp
-        self.dlog_table = dlog
+        zech.setflags(write=False)
         self.zech_table = zech
-        for arr in (self.exp_table, self.dlog_table, self.zech_table):
-            arr.setflags(write=False)
+        self.log4 = int(dlog[4 % p])
 
     def describe(self) -> dict:
         """Echo of the deterministic choices, embedded in every report."""
@@ -388,11 +375,11 @@ class FieldCtx:
             "m": self.m,
             "q": self.q,
             "modulus": poly_str(self.modulus),
-            "alpha": str(self.alpha),
+            "alpha": poly_str(self.alpha),
         }
 
     def __repr__(self) -> str:
-        return f"FieldCtx(p={self.p}, m={self.m}, q={self.q}, modulus={poly_str(self.modulus)}, alpha={self.alpha})"
+        return f"FieldCtx({', '.join(f'{key}={value}' for key, value in self.describe().items())})"
 
 
 def build_field(p: int, m: int) -> FieldCtx:

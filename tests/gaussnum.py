@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles import embed
+from oracles import embed, exp_dlog
 from slce.cyclotomic import jacobi_K
 from slce.fields import FieldCtx
 from slce.predict import pure_case_params
@@ -34,13 +34,14 @@ def _traces(ctx: FieldCtx) -> np.ndarray:
     """Tr(alpha^t) for t = 0..q-2.
 
     Tr(alpha^t) = sum over i < m of alpha^(t p^i); the trace lies in GF(p),
-    so it is the sum of the constant coordinates, exp_table[.] mod p.
+    so it is the sum of the constant coordinates, exp[.] mod p.
     """
     n = ctx.q - 1
+    exp = exp_dlog(ctx)[0]
     t = np.arange(n, dtype=np.int64)
     tr = np.zeros(n, dtype=np.int64)
     for _ in range(ctx.m):
-        tr += ctx.exp_table[t] % ctx.p
+        tr += exp[t] % ctx.p
         t = t * ctx.p % n
     return tr % ctx.p
 

@@ -21,7 +21,9 @@ register.
 
 `tables_by_int64` builds the exp, dlog and Zech tables with int64 giant
 steps and a second coordinate pass for 1 - alpha^t, the oracle of
-`slce.fields.FieldCtx._build_tables`.  `bits_by_mark` builds the sequence
+`slce.fields.FieldCtx._build_tables`, which keeps only the Zech table and
+the log of 4.  `exp_dlog` gives the tests the exponent and log tables of
+a context from it, cached on (p, m).  `bits_by_mark` builds the sequence
 by marking the codes of D = {alpha^(2i+1) - 1} and looking up each
 alpha^t, the oracle of `slce.sequences.generate`, which reads the parity
 of the Zech table.  `support_set`, the sets Y and Z, `lce_shift_check`
@@ -48,19 +50,21 @@ The GF(p)[x] list arithmetic (coefficient lists, constant term first) is
 the construction `slce.fields` replaced with the companion matrix of the
 modulus: `is_irreducible_by_gcd` is Ben-Or's test by polynomial gcds and
 `field_by_lists` finds the modulus, alpha and the matrix of multiplication
-by alpha with lists alone.  `trace` takes the trace of the multiplication
-matrix, independent of the Frobenius sum in `gaussnum._traces`.
+by alpha (`alpha_matrix`) with lists alone.  `trace` takes the trace of the
+multiplication matrix, independent of the Frobenius sum in
+`gaussnum._traces`.
 
 The element operations (`encode`, `decode`, `zero`, `one`, `from_int`,
-arithmetic, `dlog`, `trace`) act on one field element at a time through
-the exponent and log tables of a context; the tests use them to check the
-tables and the vectorised constructions built on them.  GF(2)[x]
-polynomials are bit-packed ints, as in `slce.gf2poly`; `mul_int`
+arithmetic, `dlog`, `trace`) act on one `FieldElt`, a coordinate tuple,
+at a time through the `exp_dlog` tables of a context; the tests use them
+to check the tables and the vectorised constructions built on them.
+GF(2)[x] polynomials are bit-packed ints, as in `slce.gf2poly`; `mul_int`
 multiplies them, which the package never needs to.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd as intgcd
 
@@ -70,12 +74,12 @@ from slce import cyclotomic
 from slce.cyclotomic import CycInt, _reduce, _require_valid_k, _times_mobius
 from slce.fields import (
     FieldCtx,
-    FieldElt,
     divisors,
     euler_phi,
     is_prime,
     mobius_factors,
     multiplicative_order,
+    poly_str,
     prime_factors,
 )
 from slce.gf2poly import _divmod_int, _gcd_int, _mod_int, _sqr_int, to_str
@@ -754,11 +758,17 @@ def field_by_lists(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], np
     alpha = next(
         g for g in product(range(p), repeat=m) if any(g) and all(ppowmod(list(g), n // r, f, p) != [1] for r in primes)
     )
+    return tuple(f), alpha, alpha_matrix(p, f, alpha)
+
+
+def alpha_matrix(p: int, modulus, alpha) -> np.ndarray:
+    """The matrix of multiplication by alpha mod the modulus: column i is alpha * x^i."""
+    m = len(modulus) - 1
     A = np.zeros((m, m), dtype=np.int64)
     for i in range(m):
-        column = pmulmod(list(alpha), [0] * i + [1], f, p)
+        column = pmulmod(list(alpha), [0] * i + [1], list(modulus), p)
         A[: len(column), i] = column
-    return tuple(f), alpha, A
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +812,33 @@ def tables_by_int64(p: int, m: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return exp, dlog, dlog[one_minus_code]
 
 
+@dataclass(frozen=True)
+class FieldElt:
+    """Field element as coordinates in the power basis of the modulus."""
+
+    coeffs: tuple[int, ...]
+
+    def __str__(self) -> str:
+        return poly_str(self.coeffs)
+
+
+def exp_dlog(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, dlog) of ctx by `tables_by_int64`: exp[t] is the code of alpha^t, dlog[code] is t (-1 for zero).
+
+    The package keeps only the Zech table; the tests read the powers and
+    logs of alpha from here, built from the modulus and alpha of ctx.
+    """
+    return _exp_dlog(ctx.p, ctx.m, ctx.modulus, ctx.alpha)
+
+
+@lru_cache(maxsize=4)
+def _exp_dlog(p: int, m: int, modulus: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    exp, dlog, _ = tables_by_int64(p, m, alpha_matrix(p, modulus, alpha))
+    exp.setflags(write=False)
+    dlog.setflags(write=False)
+    return exp, dlog
+
+
 def _minus_one_codes(ctx: FieldCtx, codes: np.ndarray) -> np.ndarray:
     """Encoded x - 1 for each encoded x (constant coordinate decrement)."""
     c0 = codes % ctx.p
@@ -813,14 +850,14 @@ def _support_mark(ctx: FieldCtx) -> np.ndarray:
     q = ctx.q
     odd_exp = np.arange(1, q - 1, 2, dtype=np.int64)
     mark = np.zeros(q, dtype=bool)
-    mark[_minus_one_codes(ctx, ctx.exp_table[odd_exp])] = True
+    mark[_minus_one_codes(ctx, exp_dlog(ctx)[0][odd_exp])] = True
     mark[0] = False
     return mark
 
 
 def bits_by_mark(ctx: FieldCtx) -> np.ndarray:
     """One period of the SLCE sequence: bits[t] = 1 iff alpha^t is marked as a member of D."""
-    return _support_mark(ctx)[ctx.exp_table].astype(np.uint8)
+    return _support_mark(ctx)[exp_dlog(ctx)[0]].astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -845,7 +882,7 @@ def support_set(ctx: FieldCtx) -> SupportSet:
     """D = { alpha^(2i+1) - 1 : 0 <= i <= q-2 }, minus zero, deduplicated."""
     codes = np.flatnonzero(_support_mark(ctx))
     exp_mark = np.zeros(ctx.q - 1, dtype=bool)
-    exp_mark[ctx.dlog_table[codes]] = True
+    exp_mark[exp_dlog(ctx)[1][codes]] = True
     return SupportSet(ctx=ctx, exponents=np.flatnonzero(exp_mark), element_codes=codes)
 
 
@@ -861,11 +898,11 @@ def _y_codes(ctx: FieldCtx) -> np.ndarray:
     q = ctx.q
     i = np.arange(1, q - 1, dtype=np.int64)  # i = 0 gives x = 1, x(1-x) = 0
     y_exp = (i + ctx.zech_table[i]) % (q - 1)
-    return np.unique(ctx.exp_table[y_exp])
+    return np.unique(exp_dlog(ctx)[0][y_exp])
 
 
 def _z_codes(ctx: FieldCtx) -> np.ndarray:
-    nonzero = ctx.exp_table  # all nonzero codes, as a set
+    nonzero = exp_dlog(ctx)[0]  # all nonzero codes, as a set
     return np.setdiff1d(nonzero, _y_codes(ctx))
 
 
@@ -882,10 +919,11 @@ def set_Z(ctx: FieldCtx) -> frozenset[FieldElt]:
 def lce_shift_check(ctx: FieldCtx) -> bool:
     """Structural self-test: Z equals (-4)^(-1) * D."""
     d = support_set(ctx)
+    exp, dlog_ = exp_dlog(ctx)
     code_m4 = encode(ctx, from_int(ctx, -4))
-    shift = (-int(ctx.dlog_table[code_m4])) % (ctx.q - 1)
-    shifted_exp = (ctx.dlog_table[d.element_codes] + shift) % (ctx.q - 1)
-    shifted_codes = np.sort(ctx.exp_table[shifted_exp])
+    shift = (-int(dlog_[code_m4])) % (ctx.q - 1)
+    shifted_exp = (dlog_[d.element_codes] + shift) % (ctx.q - 1)
+    shifted_codes = np.sort(exp[shifted_exp])
     return np.array_equal(shifted_codes, np.sort(_z_codes(ctx)))
 
 
@@ -940,14 +978,14 @@ def from_int(ctx: FieldCtx, c: int) -> FieldElt:
 
 def power(ctx: FieldCtx, t: int) -> FieldElt:
     """alpha^(t mod (q-1))."""
-    return decode(ctx, int(ctx.exp_table[t % (ctx.q - 1)]))
+    return decode(ctx, int(exp_dlog(ctx)[0][t % (ctx.q - 1)]))
 
 
 def dlog(ctx: FieldCtx, x: FieldElt) -> int:
     code = encode(ctx, x)
     if code == 0:
         raise ValueError("discrete log of zero is undefined")
-    return int(ctx.dlog_table[code])
+    return int(exp_dlog(ctx)[1][code])
 
 
 def trace(ctx: FieldCtx, x: FieldElt) -> int:

@@ -49,6 +49,14 @@ def test_seq_out_file(tmp_path):
     assert target.read_text() == "1100\n"
 
 
+def test_seq_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "seq.txt"
+    rc, out = run(["seq", "-p", "5", "-m", "1", "--out", str(target)])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: cannot write {target}: No such file or directory"
+    assert not target.parent.exists()
+
+
 def test_gcd_q25():
     rc, out = run(["gcd", "-p", "5", "-m", "2"])
     assert rc == 0
@@ -104,6 +112,15 @@ def test_predict_invalid_k(capsys):
     rc, _ = run(["predict", "-p", "5", "-m", "2", "-k", "7"])
     assert rc == 2
     assert capsys.readouterr().err == "error: k = 7 does not divide q - 1 = 24\n"
+
+
+@pytest.mark.parametrize(
+    "p,message",
+    [("9", "error: p = 9 is not prime\n"), ("2", "error: p must be an odd prime\n"), ("-3", "error: p = -3 is not prime\n")],
+)
+def test_predict_rejects_a_p_that_is_not_an_odd_prime(capsys, p, message):
+    rc, out = run(["predict", "-p", p, "-m", "2", "-k", "5"])
+    assert (rc, out, capsys.readouterr().err) == (2, "", message)
 
 
 def test_predict_invalid_k_with_huge_q(capsys):

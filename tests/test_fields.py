@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,9 +9,11 @@ import numpy as np
 from conftest import ORACLE_FIELDS
 from gaussnum import _traces
 from oracles import (
+    FieldElt,
     add,
     decode,
     dlog,
+    exp_dlog,
     field_by_lists,
     inv,
     is_irreducible_by_gcd,
@@ -28,7 +31,6 @@ from oracles import (
 from slce import fields
 from slce.cli import _odd_prime_powers_upto
 from slce.fields import (
-    FieldElt,
     build_field,
     canonical_modulus,
     divisors,
@@ -56,20 +58,20 @@ def test_build_field_smallest_primitive_root_mod_5():
     want = min(a for a in range(2, 5) if brute_order(a, 5) == 4)
     ctx = build_field(5, 1)
     assert ctx.q == 5
-    assert ctx.alpha == FieldElt((want,)) == FieldElt((2,))
+    assert ctx.alpha == (want,) == (2,)
 
 
 def test_build_field_q3():
     ctx = build_field(3, 1)
     assert ctx.q == 3
-    assert ctx.alpha == FieldElt((2,))
+    assert ctx.alpha == (2,)
 
 
 def test_build_field_q9_alpha_has_order_8():
     ctx = build_field(3, 2)
     assert ctx.q == 9
     # exhaustive order check over all 8 nonzero elements using context ops
-    x = ctx.alpha
+    x = FieldElt(ctx.alpha)
     seen = set()
     y = x
     for _ in range(8):
@@ -165,7 +167,7 @@ def test_is_irreducible_against_root_counting():
 
 
 def test_trace_table_matches_pointwise():
-    # the Frobenius sum over exp_table against the trace of the multiplication matrix
+    # the Frobenius sum over the powers of alpha against the trace of the multiplication matrix
     for p, m in ((7, 2), (3, 5), (5, 3), (13, 1)):
         ctx = build_field(p, m)
         traces = _traces(ctx)
@@ -187,13 +189,13 @@ def test_tables_match_powering_at_block_boundaries():
     p, f = ctx.p, list(ctx.modulus)
 
     def alpha_pow(t):
-        c = ppowmod(list(ctx.alpha.coeffs), t, f, p)
+        c = ppowmod(list(ctx.alpha), t, f, p)
         return c + [0] * (ctx.m - len(c))
 
     traces = _traces(ctx)
     for t in (1, 4095, 4096, 4097, ctx.q - 2):
         a = alpha_pow(t)
-        assert int(ctx.exp_table[t]) == sum(c * p**i for i, c in enumerate(a)), t
+        assert int(exp_dlog(ctx)[0][t]) == sum(c * p**i for i, c in enumerate(a)), t
         one_minus = [(-c) % p for c in a]
         one_minus[0] = (1 - a[0]) % p
         assert alpha_pow(int(ctx.zech_table[t])) == one_minus, t
@@ -205,11 +207,26 @@ def test_tables_match_int64_oracle():
     for p, m in ORACLE_FIELDS:
         ctx = build_field(p, m)
         _, A = _primitive_element(p, m, _companion(ctx.modulus, p))
-        exp, dlog_, zech = tables_by_int64(p, m, A)
-        assert np.array_equal(ctx.exp_table, exp), (p, m)
-        assert np.array_equal(ctx.dlog_table, dlog_), (p, m)
+        _, dlog_, zech = tables_by_int64(p, m, A)
         assert np.array_equal(ctx.zech_table, zech), (p, m)
-        assert ctx.exp_table.dtype == ctx.dlog_table.dtype == ctx.zech_table.dtype == np.int64
+        assert ctx.zech_table.dtype == np.int64 and not ctx.zech_table.flags.writeable, (p, m)
+        assert ctx.log4 == int(dlog_[4 % p]) and type(ctx.log4) is int, (p, m)
+
+
+def test_a_context_keeps_only_its_zech_table():
+    # GF(5^8): the context keeps one int64 array of length q - 1; building it also holds a
+    # discrete log table of length q, but never a table of the powers of alpha
+    q = 5**8
+    tracemalloc.start()
+    try:
+        ctx = build_field(5, 8)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * q
+    assert retained < 9 * q
+    arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is ctx.zech_table and arrays[0].shape == (q - 1,)
 
 
 def test_float_giant_steps_are_exact_up_to_the_size_bound():
@@ -264,6 +281,10 @@ def test_describe_echo_is_deterministic():
     b = build_field(3, 4).describe()
     assert a == b
     assert set(a) == {"p", "m", "q", "modulus", "alpha"}
+    ctx = build_field(5, 3)
+    assert ctx.describe() == {"p": 5, "m": 3, "q": 125, "modulus": "x^3+x^2+1", "alpha": "2x^2"}
+    assert repr(ctx) == "FieldCtx(p=5, m=3, q=125, modulus=x^3+x^2+1, alpha=2x^2)"
+    assert str(FieldElt(ctx.alpha)) == "2x^2"
 
 
 def test_is_prime_matches_trial_division_and_known_pseudoprimes():
@@ -391,4 +412,4 @@ def test_least_primitive_root_past_the_first_stack(p, root):
 
     assert is_root(root) and not any(is_root(a) for a in range(1, root))
     assert root > fields._STACK  # the search goes past its first stack
-    assert build_field(p, 1).alpha == FieldElt((root,))
+    assert build_field(p, 1).alpha == (root,)

@@ -8,6 +8,7 @@ from oracles import (
     decimate,
     decode,
     encode,
+    exp_dlog,
     from_int,
     is_zero,
     lce_shift_check,
@@ -37,7 +38,7 @@ def nonsquare_support_codes(ctx):
     """Oracle: D = { n - 1 : n a nonzero non-square } minus zero."""
     squares = {encode(ctx, power(ctx, 2 * t)) for t in range((ctx.q - 1) // 2)}
     out = set()
-    for code in map(int, ctx.exp_table):
+    for code in map(int, exp_dlog(ctx)[0]):
         if code in squares:
             continue
         elt = sub(ctx, decode(ctx, code), one(ctx))
@@ -56,7 +57,7 @@ def test_support_set_against_both_oracles(p, m):
     assert d.size == (ctx.q - 1) // 2
     assert d.element_codes.dtype == d.exponents.dtype == np.int64
     assert np.array_equal(d.element_codes, sorted(codes))
-    assert np.array_equal(d.exponents, sorted(int(ctx.dlog_table[c]) for c in codes))
+    assert np.array_equal(d.exponents, sorted(int(exp_dlog(ctx)[1][c]) for c in codes))
 
 
 def test_support_set_q5():
