@@ -195,7 +195,16 @@ def _reported(block: dict, timings: bool) -> dict:
     return {("timings" if k == "_timings" else k): v for k, v in block.items() if timings or k != "_timings"}
 
 
+def _print_timings(blocks: list[dict], args) -> None:
+    """With --timings in text or CSV mode, one `# timings` line per field on stderr; JSON carries them inline."""
+    if args.timings and not args.json:
+        for block in blocks:
+            spans = " ".join(f"{name}={seconds:.6f}" for name, seconds in block["_timings"].items())
+            print(f"# timings q={block['field']['q']} {spans}", file=sys.stderr)
+
+
 def _emit(block: dict, args, out) -> None:
+    _print_timings([block], args)
     block = _reported(block, args.timings)
     if args.json:
         print(json.dumps(block, indent=2), file=out)
@@ -386,6 +395,7 @@ def cmd_grid(args, out) -> int:
         )
         return 2
     blocks = _verify_fields(fields)
+    _print_timings(blocks, args)
     mismatches = sum(block["summary"]["mismatches"] for block in blocks)
     report = {
         "q_max": args.q_max,
@@ -452,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true", help="per-factor rows as CSV")
-    sp.add_argument("--timings", action="store_true", help="include timing data (not byte-stable)")
+    sp.add_argument("--timings", action="store_true", help="timing data: in the JSON, else a stderr line per field")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("grid", help="sweep all odd prime powers q <= --q-max")
@@ -461,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true", help="per-factor rows as CSV")
-    sp.add_argument("--timings", action="store_true")
+    sp.add_argument("--timings", action="store_true", help="timing data: in the JSON, else a stderr line per field")
     sp.set_defaults(func=cmd_grid)
     return parser
 

@@ -4,11 +4,11 @@ Elements are integer coordinate vectors in the power basis 1, zeta, ...,
 zeta^(phi(k)-1) modulo the k-th cyclotomic polynomial (an integral basis,
 so "divisible by 2" means "all coordinates even").  The module computes
 the normalized Jacobi sum K = chi(4) J(chi, chi) for the canonical
-character chi(alpha) = zeta_k, the prime ideals above 2, and the
-divisibility test.  Each prime ideal above 2 is (2, g(zeta_k)) for an
-irreducible factor g of Phi_k mod 2, and the package names it by g alone:
-g divides the sequence polynomial exactly when (K + 1)/2 lies in
-(2, g(zeta_k)).
+character chi(alpha) = zeta_k and the divisibility test.  Each prime ideal
+above 2 is (2, g(zeta_k)) for an irreducible factor g of Phi_k mod 2, and
+the package names it by g alone (`ideal_factors`, from `gf2poly`, where
+the gcd with x^v + 1 reads the same split): g divides the sequence
+polynomial exactly when (K + 1)/2 lies in (2, g(zeta_k)).
 
 Phi_k is the Moebius product of the x^d - 1 over d | k, and every
 element enters the power basis through one routine, `_reduce`: with
@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldCtx, euler_phi, mobius_factors
-from .gf2poly import _from_coefficients, _mod_int, cyclotomic_mod2, factor_squarefree, gcd_cyclotomic
+from .gf2poly import _from_coefficients, _mod_int, gcd_cyclotomic, ideal_factors
 
 
 def _times_mobius(a: np.ndarray, factors) -> np.ndarray:
@@ -119,11 +119,6 @@ def _reduce(k: int, vec) -> tuple[int, ...]:
     return tuple(_times_mobius(times_psi, inverse).tolist())
 
 
-def _require_odd_k(k: int) -> None:
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k = {k} must be an odd integer >= 3")
-
-
 @dataclass(frozen=True)
 class CycInt:
     """An element of Z[zeta_k] in the power basis modulo Phi_k."""
@@ -132,7 +127,8 @@ class CycInt:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        _require_odd_k(self.k)
+        if self.k < 3 or self.k % 2 == 0:
+            raise ValueError(f"k = {self.k} must be an odd integer >= 3")
         expected = euler_phi(self.k)
         if len(self.coeffs) != expected:
             raise ValueError(f"need {expected} coordinates for k = {self.k}")
@@ -177,20 +173,8 @@ def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
 
 
 # ---------------------------------------------------------------------------
-# Prime ideals above 2 and the divisibility criterion.
+# The divisibility criterion modulo the prime ideals above 2.
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def ideal_factors(k: int) -> tuple[int, ...]:
-    """The prime ideals above 2, each (2, g(zeta_k)) given by its bit-packed g, sorted.
-
-    The g are the irreducible factors of Phi_k mod 2.  The residue field of
-    (2, g(zeta_k)) is GF(2)[x]/(g), of order 2^f with f = deg g = ord_k(2);
-    zeta_k maps to x, an element of order k whose minimal polynomial is g.
-    """
-    _require_odd_k(k)
-    return tuple(factor_squarefree(cyclotomic_mod2(k), k))
 
 
 def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:

@@ -25,11 +25,10 @@ characteristic; 1 suits any r).  Where a cost model expects it to be
 cheaper, a certificate may settle G_d = 1 with t' - 1 float-FFT products,
 t' the number of <2, p>-orbits of (Z/d)*; for t' = 1 it needs no product,
 as G_d = 1 iff r != 0 (`_multiplier_certificate`).  Euclid runs whenever
-the certificate does not show G_d = 1.  Each G_d divides x^d + 1, d odd,
-so its factors are split apart by sums of x^j over 2-cyclotomic cosets,
-not by a general method (`factor_squarefree`, which also splits Phi_k
-mod 2 for the prime ideals above 2); the power 2^e enters only through
-each factor's multiplicity.
+the certificate does not show G_d = 1.  The factors of G_d are those of
+Phi_d that divide it; Phi_d is split once, by sums of x^j over 2-cyclotomic
+cosets (`ideal_factors`, cached, the criterion's prime ideals above 2 too);
+the power 2^e enters only through each factor's multiplicity.
 
 Degree of the zero polynomial is the sentinel -1; nonzero polynomials over
 GF(2) are automatically monic.
@@ -179,26 +178,30 @@ def _mod_cyclotomic(f: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Factorization of divisors of x^n + 1, n odd: split by the idempotents of
-# binary cyclic codes, the sums of x^j over the 2-cyclotomic cosets of Z/n.
+# Factorization of Phi_n mod 2, n odd: split by the idempotents of binary
+# cyclic codes, the sums of x^j over the 2-cyclotomic cosets of Z/n.
 # ---------------------------------------------------------------------------
 
 
-def factor_squarefree(f: int, n: int) -> list[int]:
-    """Irreducible factors of a squarefree f whose roots all have order n, sorted.
+@lru_cache(maxsize=None)
+def ideal_factors(n: int) -> tuple[int, ...]:
+    """The irreducible factors g of Phi_n mod 2, n odd, sorted.
 
-    There are deg f / d of them, each of degree d = ord_n(2).  For each
-    2-cyclotomic coset C of Z/n, e_C = sum of x^j over j in C satisfies
-    e_C^2 = e_C mod x^n + 1; these are the idempotents of binary cyclic
-    codes (MacWilliams and Sloane, ch. 8), and they span Berlekamp's algebra
-    of every f | x^n + 1.  So splitting each piece by gcd(piece, e_C mod
-    piece), over the cosets C != {0} in turn, separates every factor.
-    Each e_C is set in a byte buffer and read as one int: or-ing each
-    1 << j into a growing int would cost O(n) per bit of a long coset.
+    Each names the prime ideal (2, g(zeta_n)) above 2 in Z[zeta_n], whose
+    residue field GF(2)[x]/(g) has order 2^f with f = deg g = ord_n(2);
+    zeta_n maps to x, an element of order n whose minimal polynomial is g.
+    For each 2-cyclotomic coset C of Z/n, e_C = sum of x^j over j in C
+    satisfies e_C^2 = e_C mod x^n + 1; these are the idempotents of binary
+    cyclic codes (MacWilliams and Sloane, ch. 8), and they span Berlekamp's
+    algebra of every divisor of x^n + 1.  So splitting each piece by
+    gcd(piece, e_C mod piece), over the cosets C != {0} in turn, separates
+    every factor.  Each e_C is set in a byte buffer and read as one int:
+    or-ing each 1 << j into a growing int would cost O(n) per bit of a
+    long coset.
     """
-    d = multiplicative_order(2, n)
-    count = (f.bit_length() - 1) // d
-    pieces = [f]
+    f = multiplicative_order(2, n)
+    pieces = [cyclotomic_mod2(n)]
+    count = (pieces[0].bit_length() - 1) // f
     seen = bytearray(n)
     seen[0] = 1
     for c in range(1, n):
@@ -215,12 +218,12 @@ def factor_squarefree(f: int, n: int) -> list[int]:
         e_c = int.from_bytes(buf, "little")
         split = []
         for piece in pieces:
-            g = _gcd_int(piece, _mod_int(e_c, piece)) if piece.bit_length() - 1 > d else piece
+            g = _gcd_int(piece, _mod_int(e_c, piece)) if piece.bit_length() - 1 > f else piece
             split += [piece] if g in (1, piece) else [g, _divmod_int(piece, g)[0]]
         pieces = split
     if len(pieces) != count:
         raise RuntimeError(f"the cyclotomic cosets of Z/{n} did not separate the factors")
-    return sorted(pieces)
+    return tuple(sorted(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +364,8 @@ def gcd_factors(v: int, s: int, multiplier: int) -> list[tuple[int, int]]:
     and x^w + 1 is the product of the Phi_d mod 2 over d | w, squarefree
     and pairwise coprime.  So the factors of the gcd whose roots have order
     d are those of G_d = gcd(Phi_d, s mod Phi_d): one `gcd_cyclotomic` on
-    degree phi(d), after a reduction through Psi_d (`_mod_cyclotomic`), and
-    a coset split (`factor_squarefree`).  Each such h enters the gcd
+    degree phi(d), after a reduction through Psi_d (`_mod_cyclotomic`): the
+    h of `ideal_factors(d)` that divide G_d.  Each such h enters the gcd
     min(2^e, nu_h(s)) times, which is deg gcd(h^(2^e), s mod h^(2^e)) /
     deg h; h^(2^e) divides x^(d 2^e) + 1, so s may first be folded mod that
     binomial.  s = 0 gives the factorization of x^v + 1.
@@ -379,7 +382,9 @@ def gcd_factors(v: int, s: int, multiplier: int) -> list[tuple[int, int]]:
         if g == 1:
             continue
         folded = _fold(s, d << e)
-        for h in factor_squarefree(g, d):
+        for h in ideal_factors(d):
+            if _mod_int(g, h):  # h divides Phi_d, so h | s exactly when h | G_d
+                continue
             top = h
             for _ in range(e):
                 top = _sqr_int(top)

@@ -3,13 +3,13 @@
 The coset construction builds the factors of Phi_k mod 2 as minimal
 polynomials of the powers of an element of order k inside an explicit
 GF(2^f), f = ord_k(2), without factoring anything.  It is the oracle of
-`slce.cyclotomic.ideal_factors`.
+`slce.gf2poly.ideal_factors`.
 
 `berlekamp_factor` factors any polynomial over GF(2): a squarefree split by
 derivatives and square roots, then Berlekamp's Q-matrix method on each
 squarefree part.  It is the oracle of `slce.gf2poly.gcd_factors` and
-`factor_squarefree`, which factor only divisors of x^n + 1 by splitting
-with the cyclotomic-coset idempotents.
+`ideal_factors`, which factor only Phi_n mod 2, n odd, by splitting with
+the cyclotomic-coset idempotents.
 
 `gcd_by_divmod` is textbook Euclid on `_divmod_int` alone, the oracle of
 `_gcd_int` and of the factored gcd with x^v + 1.  `divides` tests g | s by

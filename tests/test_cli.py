@@ -15,7 +15,7 @@ from oracles import divides
 import slce
 from slce.cli import _odd_prime_powers_upto, _verify_rows, main
 from slce.cyclotomic import ideal_factors
-from slce.gf2poly import to_str
+from slce.gf2poly import gcd_factors, to_str
 
 
 def run(argv):
@@ -433,6 +433,20 @@ def test_grid_timings_per_field():
         assert set(block["timings"]) == {"field_build_s", "sequence_and_gcd_s", "rows_s"}
 
 
+def test_verify_splits_each_phi_d_once():
+    # the gcd and the rows ask for the factors of the same Phi_d, and each d is split once;
+    # at q = 3^6 the gcd's factors have orders 1, 7 and 13, and no row asks for d = 1
+    ideal_factors.cache_clear()
+    rc, out = run(["verify", "-p", "3", "-m", "6", "--json"])
+    misses = ideal_factors.cache_info().misses
+    assert rc == 0
+    rows = {row["k"] for row in json.loads(out)["rows"]}
+    gcd = gcd_factors(728, field_bundle(3, 6)[1].as_int(), 3)
+    orders = {d for d in [1, *rows] if any(h in ideal_factors(d) for h, _ in gcd)}
+    assert (rows, orders) == ({7, 13, 91}, {1, 7, 13})
+    assert misses == len(rows | orders)
+
+
 def test_direct_column_matches_division_oracle_to_3000():
     # the report reads g | S2 off the factors of gcd(x^v + 1, S2); the oracle divides S2 by g
     trivial = 0
@@ -464,6 +478,24 @@ def test_usage_error_exit_code():
     assert rc == 2
     rc, _ = run(["seq", "-p", "5"])
     assert rc == 2
+
+
+def test_timings_go_to_stderr_in_text_and_csv_mode(capsys):
+    # one line per field on stderr; stdout is the report without --timings, byte for byte
+    grid_qs = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
+    for argv, qs in [(["verify", "-p", "5", "-m", "2"], [25]), (["grid", "--q-max", "30"], grid_qs)]:
+        for fmt in [[], ["--csv"]]:
+            plain = run(argv + fmt)
+            assert capsys.readouterr().err == ""
+            assert run(argv + fmt + ["--timings"]) == plain
+            lines = capsys.readouterr().err.splitlines()
+            assert [line.split()[:3] for line in lines] == [["#", "timings", f"q={q}"] for q in qs]
+            for line in lines:
+                spans = dict(item.split("=") for item in line.split()[3:])
+                assert list(spans) == ["field_build_s", "sequence_and_gcd_s", "rows_s"]
+                assert all(float(s) >= 0 for s in spans.values())
+    run(["verify", "-p", "5", "-m", "2", "--json", "--timings"])
+    assert capsys.readouterr().err == ""  # JSON carries its timings inline
 
 
 def test_timings_flag_included_only_on_request():

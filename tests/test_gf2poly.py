@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import field_bundle
 from oracles import (
     _berlekamp_factors,
     all_ones_poly,
@@ -28,7 +29,6 @@ from oracles import (
     x_pow_plus_one,
 )
 from slce.cli import _odd_prime_powers_upto
-from slce.cyclotomic import ideal_factors
 from slce.fields import build_field, divisors
 from slce import gf2poly
 from slce.gf2poly import (
@@ -46,10 +46,10 @@ from slce.gf2poly import (
     _sqr_int,
     _times_binomials,
     cyclotomic_mod2,
-    factor_squarefree,
     factored_str,
     gcd_cyclotomic,
     gcd_factors,
+    ideal_factors,
     to_str,
 )
 from slce.sequences import generate
@@ -254,7 +254,7 @@ def test_gcd_cyclotomic_takes_the_certificate_where_it_is_cheaper(monkeypatch):
     for d in [20029, 20023]:
         phi_d = cyclotomic_mod2(d)
         r = rng.getrandbits(phi_d.bit_length() - 1)
-        shares_g = _mod_int(mul_int(factor_squarefree(phi_d, d)[0], r), phi_d)  # 0 when Phi_d is irreducible
+        shares_g = _mod_int(mul_int(ideal_factors(d)[0], r), phi_d)  # 0 when Phi_d is irreducible
         for case in [r, shares_g, 0]:
             assert gcd_cyclotomic(d, case, 1) == _gcd_int(phi_d, case), d
     assert runs == [20029, 20023, 20023]  # r = 0 goes straight to Euclid
@@ -425,30 +425,32 @@ def test_factor_recombines_and_is_irreducible(bits):
     assert fac == sorted(fac, key=lambda item: (item[0].bit_length(), item[0]))
 
 
-def test_factor_squarefree_matches_berlekamp_oracle():
-    for k in range(3, 300, 2):
-        f = _from_coefficients(np.array(cyclotomic_poly(k)) & 1)
-        want = sorted(_berlekamp_factors(f))
-        assert factor_squarefree(f, k) == want, k
-    # k = 2047: 176 factors of degree 11.  Factorization is unique, so
-    # distinct sorted irreducibles whose product is Phi_k are the oracle's
+def test_cyclotomic_split_matches_berlekamp_oracle():
+    for n in range(1, 300, 2):
+        f = _from_coefficients(np.array(cyclotomic_poly(n)) & 1)
+        assert ideal_factors(n) == tuple(sorted(_berlekamp_factors(f))), n
+    # n = 2047: 176 factors of degree 11.  Factorization is unique, so
+    # distinct sorted irreducibles whose product is Phi_n are the oracle's
     # answer, without its 1936 x 1936 Q-matrix.
     f = _from_coefficients(np.array(cyclotomic_poly(2047)) & 1)
-    got = factor_squarefree(f, 2047)
+    got = ideal_factors(2047)
     assert len(got) == 176
     assert all(g.bit_length() - 1 == 11 and is_irreducible(g) for g in got)
-    assert got == sorted(set(got))
+    assert list(got) == sorted(set(got))
     assert recombine([(g, 1) for g in got]) == f
 
 
-def test_factor_squarefree_structured_case():
-    # two reciprocal degree-18 irreducibles that defeat naive trace splitting;
-    # their roots have order 2^18 - 1 = 262143
-    f = 0x145114514F
-    parts = factor_squarefree(f, 262143)
-    assert len(parts) == 2
-    assert all(g.bit_length() - 1 == 18 and is_irreducible(g) for g in parts)
-    assert mul_int(parts[0], parts[1]) == f
+def test_gcd_factors_of_order_d_are_factors_of_phi_d_on_every_field_to_3000():
+    # each h of the gcd has order d, the least d | w with h | x^d + 1, and is one of ideal_factors(d)
+    checked = 0
+    for _, p, m in _odd_prime_powers_upto(3000):
+        seq = field_bundle(p, m)[1]
+        w = seq.v >> ((seq.v & -seq.v).bit_length() - 1)
+        for h, _ in gcd_factors(seq.v, seq.as_int(), p):
+            d = next(d for d in divisors(w) if _mod_int((1 << d) | 1, h) == 0)
+            assert h in ideal_factors(d), (p, m, h)
+            checked += 1
+    assert checked > 0
 
 
 def test_cyclotomic_cosets():
