@@ -10,7 +10,9 @@ Subcommands:
   verify   per-factor criterion vs direct divisibility vs prediction
   grid     verify swept over all odd prime powers q <= bound, one forked
            worker process per available CPU (the report does not depend
-           on how many)
+           on how many); each worker renders the fields it verified, and
+           the report is written from those pieces, one field at a time,
+           in ascending q
 
 Exit codes: 0 = all checks match, 1 = a mismatch was found, 2 = usage
 error, 141 = stdout was closed before the report was written (the shell's
@@ -22,6 +24,7 @@ There is no randomness anywhere (--seed-free is accepted as a no-op).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -127,48 +130,35 @@ def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     return block
 
 
-def _print_verify_block(block: dict, out) -> None:
+def _text_block(block: dict) -> str:
     fe = block["field"]
     mod = fe["modulus"] if fe["modulus"] is not None else "(not built)"
     alpha = fe["alpha"] if fe["alpha"] is not None else "(not built)"
-    print(f"field: p={fe['p']} m={fe['m']} q={fe['q']} modulus={mod} alpha={alpha}", file=out)
+    lines = [f"field: p={fe['p']} m={fe['m']} q={fe['q']} modulus={mod} alpha={alpha}"]
     if "gcd_factored" in block:
-        print(
-            f"gcd = {block['gcd_factored']}; linear complexity = {block['linear_complexity']}",
-            file=out,
-        )
+        lines.append(f"gcd = {block['gcd_factored']}; linear complexity = {block['linear_complexity']}")
     for row in block["rows"]:
-        print(f"k={row['k']}:", file=out)
+        lines.append(f"k={row['k']}:")
         if row["factors"] is not None:
             for f in row["factors"]:
-                print(
-                    f"  g={f['g']}: criterion={f['criterion']} direct={f['direct']} match={f['match']}",
-                    file=out,
-                )
+                lines.append(f"  g={f['g']}: criterion={f['criterion']} direct={f['direct']} match={f['match']}")
         else:
-            print(f"  direct: {row['direct_all']}", file=out)
+            lines.append(f"  direct: {row['direct_all']}")
         pred = row.get("prediction")
         if pred is not None:
-            print(
-                f"  prediction [{pred['regime']}]: divides={pred['divides']}"
-                f" match={row['prediction_match']}",
-                file=out,
-            )
-            print(f"    {pred['condition_trace']}", file=out)
+            lines.append(f"  prediction [{pred['regime']}]: divides={pred['divides']} match={row['prediction_match']}")
+            lines.append(f"    {pred['condition_trace']}")
         elif "prediction_note" in row:
-            print(f"  prediction: {row['prediction_note']}", file=out)
+            lines.append(f"  prediction: {row['prediction_note']}")
     s = block["summary"]
-    print(
-        f"summary: rows={s['rows']} mismatches={s['mismatches']}"
-        f" indeterminate={s['indeterminate_predictions']}",
-        file=out,
-    )
+    lines.append(f"summary: rows={s['rows']} mismatches={s['mismatches']} indeterminate={s['indeterminate_predictions']}")
+    return "\n".join(lines) + "\n"
 
 
-_CSV_HEADER = "q,k,g,criterion,direct,match,prediction,prediction_match"
+_CSV_HEADER = "q,k,g,criterion,direct,match,prediction,prediction_match\n"
 
 
-def _csv_rows(block: dict) -> list[str]:
+def _csv_block(block: dict) -> str:
     lines = []
     for row in block["rows"]:
         pred = row.get("prediction")
@@ -183,37 +173,37 @@ def _csv_rows(block: dict) -> list[str]:
             for f in row["factors"]:
                 lines.append(
                     f"{row['q']},{row['k']},{f['g']},{f['criterion']},{f['direct']},{f['match']},"
-                    f"{pred_str},{pmatch}"
+                    f"{pred_str},{pmatch}\n"
                 )
         else:
-            lines.append(f"{row['q']},{row['k']},,,skipped,,{pred_str},{pmatch}")
-    return lines
+            lines.append(f"{row['q']},{row['k']},,,skipped,,{pred_str},{pmatch}\n")
+    return "".join(lines)
 
 
-def _reported(block: dict, timings: bool) -> dict:
-    """The block as printed: its `_timings` entry renamed `timings`, or dropped."""
-    return {("timings" if k == "_timings" else k): v for k, v in block.items() if timings or k != "_timings"}
+def _render(block: dict, args, indent: str = "") -> tuple[str, str, int]:
+    """One field's report in the format of `args`: (text, timings line, mismatches).
 
-
-def _print_timings(blocks: list[dict], args) -> None:
-    """With --timings in text or CSV mode, one `# timings` line per field on stderr; JSON carries them inline."""
-    if args.timings and not args.json:
-        for block in blocks:
-            spans = " ".join(f"{name}={seconds:.6f}" for name, seconds in block["_timings"].items())
-            print(f"# timings q={block['field']['q']} {spans}", file=sys.stderr)
-
-
-def _emit(block: dict, args, out) -> None:
-    _print_timings([block], args)
-    block = _reported(block, args.timings)
+    JSON is `json.dumps(block, indent=2)` with `indent` before each line,
+    which is exact because JSON escapes every newline inside a string, and
+    it has no final newline, so that `grid` can join blocks.  CSV (without
+    its header) and text end every line with one.  The `_timings` entry is
+    renamed `timings` in JSON with --timings, and dropped otherwise; the
+    timings line, for stderr, is "" unless --timings is given in text or CSV
+    mode.
+    """
+    spans = block.pop("_timings")
+    timings_line = ""
+    if args.timings and args.json:
+        block["timings"] = spans
+    elif args.timings:
+        timings_line = f"# timings q={block['field']['q']} " + " ".join(f"{k}={s:.6f}" for k, s in spans.items())
     if args.json:
-        print(json.dumps(block, indent=2), file=out)
+        text = indent + json.dumps(block, indent=2).replace("\n", "\n" + indent)
     elif args.csv:
-        print(_CSV_HEADER, file=out)
-        for line in _csv_rows(block):
-            print(line, file=out)
+        text = _csv_block(block)
     else:
-        _print_verify_block(block, out)
+        text = _text_block(block)
+    return text, timings_line, block["summary"]["mismatches"]
 
 
 def cmd_seq(args, out) -> int:
@@ -298,25 +288,28 @@ def cmd_verify(args, out) -> int:
         return 2
     ks = [args.k] if args.k is not None else None
     try:
-        block = _verify_rows(args.p, args.m, ks, direct)
+        text, timings_line, mismatches = _render(_verify_rows(args.p, args.m, ks, direct), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(block, args, out)
-    return 0 if block["summary"]["mismatches"] == 0 else 1
+    if timings_line:
+        print(timings_line, file=sys.stderr)
+    out.write(_CSV_HEADER + text if args.csv else text + "\n" if args.json else text)
+    return 0 if mismatches == 0 else 1
 
 
-def _verify_field(field: tuple[int, int, int]) -> dict | ValueError:
-    """The block of one grid field (q, p, m), or the ValueError that stopped it.
+def _verify_field(field: tuple[int, int, int], args) -> tuple[str, str, int] | ValueError:
+    """`_render` of one grid field (q, p, m) at the report's depth, or the ValueError that stopped it.
 
     A pool task: module level, so that it pickles by name, and it looks up
     `_verify_rows` when called, so a forked worker runs whatever the parent has.
     """
     q, p, m = field
     try:
-        return _verify_rows(p, m, None, q <= DIRECT_VERIFY_BOUND)
+        block = _verify_rows(p, m, None, q <= DIRECT_VERIFY_BOUND)
     except ValueError as exc:
         return exc
+    return _render(block, args, indent="    ")
 
 
 def _tie_to_parent(parent: int) -> None:
@@ -344,11 +337,12 @@ def _tie_to_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _verify_fields(fields: list[tuple[int, int, int]]) -> list[dict]:
-    """The blocks of `fields` in their order, one forked worker per available CPU.
+def _verify_fields(fields: list[tuple[int, int, int]], args) -> list[tuple[str, str, int]]:
+    """The rendered `_verify_field`s of `fields` in their order, one forked worker per available CPU.
 
     The fields are independent.  Workers take them largest q first, in chunks
-    of 8, so that no heavy field starts last.  The first field in order that
+    of 8, so that no heavy field starts last, and each renders the fields it
+    verified, so only their text comes back.  The first field in order that
     raised ValueError raises it here, as a serial loop would.  With one CPU
     (or no `sched_getaffinity`, which only Linux has) the fields run here, one
     by one, and stop at the first error.  The CPUs are those the process may
@@ -358,10 +352,11 @@ def _verify_fields(fields: list[tuple[int, int, int]]) -> list[dict]:
     thread, before it starts its own.  Each worker dies with this process
     (`_tie_to_parent`), and none outlives this call.
     """
+    task = functools.partial(_verify_field, args=args)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(fields))
     if workers <= 1:
-        results = map(_verify_field, fields)
+        results = map(task, fields)
     else:
         import multiprocessing  # not at module top: these imports cost every other command ~16 ms
         from concurrent.futures import ProcessPoolExecutor
@@ -373,18 +368,24 @@ def _verify_fields(fields: list[tuple[int, int, int]]) -> list[dict]:
             initargs=(os.getpid(),),
         )
         try:
-            results = list(pool.map(_verify_field, fields[::-1], chunksize=8))[::-1]
+            results = list(pool.map(task, fields[::-1], chunksize=8))[::-1]
         finally:
             pool.shutdown(cancel_futures=True)
-    blocks = []
+    rendered = []
     for result in results:
         if isinstance(result, ValueError):
             raise result
-        blocks.append(result)
-    return blocks
+        rendered.append(result)
+    return rendered
 
 
 def cmd_grid(args, out) -> int:
+    """The report of every field, written block by block in ascending q.
+
+    Each block is written as it was rendered, between a header and a footer,
+    and released once written, so the whole report is never built here:
+    not as one dict, one string, or the chunks of one encoder.
+    """
     fields = _odd_prime_powers_upto(args.q_max)
     beyond = next((q for q, _, _ in fields if q > DIRECT_VERIFY_BOUND), None)
     if beyond is not None and not args.predict_only:
@@ -394,25 +395,24 @@ def cmd_grid(args, out) -> int:
             file=sys.stderr,
         )
         return 2
-    blocks = _verify_fields(fields)
-    _print_timings(blocks, args)
-    mismatches = sum(block["summary"]["mismatches"] for block in blocks)
-    report = {
-        "q_max": args.q_max,
-        "fields": [_reported(b, args.timings) for b in blocks],
-        "summary": {"fields": len(blocks), "mismatches": mismatches},
-    }
+    blocks = _verify_fields(fields, args)
     if args.json:
-        print(json.dumps(report, indent=2), file=out)
+        out.write(f'{{\n  "q_max": {args.q_max},\n  "fields": [')
     elif args.csv:
-        print(_CSV_HEADER, file=out)
-        for block in blocks:
-            for line in _csv_rows(block):
-                print(line, file=out)
-    else:
-        for block in blocks:
-            _print_verify_block(block, out)
-        print(f"grid summary: fields={len(blocks)} mismatches={mismatches}", file=out)
+        out.write(_CSV_HEADER)
+    mismatches = 0
+    for i, (text, timings_line, field_mismatches) in enumerate(blocks):
+        blocks[i] = None  # the text goes with the loop variables
+        if timings_line:
+            print(timings_line, file=sys.stderr)
+        out.write((("\n" if i == 0 else ",\n") + text) if args.json else text)
+        mismatches += field_mismatches
+    if args.json:
+        summary = json.dumps({"fields": len(blocks), "mismatches": mismatches}, indent=2).replace("\n", "\n  ")
+        # json.dumps writes an empty list as [] on one line
+        out.write(("\n  ]" if blocks else "]") + f',\n  "summary": {summary}\n}}\n')
+    elif not args.csv:
+        out.write(f"grid summary: fields={len(blocks)} mismatches={mismatches}\n")
     return 0 if mismatches == 0 else 1
 
 

@@ -60,8 +60,15 @@ at a time through the `exp_dlog` tables of a context; the tests use them
 to check the tables and the vectorised constructions built on them.
 GF(2)[x] polynomials are bit-packed ints, as in `slce.gf2poly`; `mul_int`
 multiplies them, which the package never needs to.
+
+`grid_report` assembles the whole `grid` report in one process: one dict
+of every field's block, encoded by one `json.dumps(report, indent=2)`, or
+the CSV and text loops over the blocks.  It is the oracle of
+`slce.cli.cmd_grid`, which writes blocks rendered in its workers one by one.
 """
 
+import io
+import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,6 +78,7 @@ from math import gcd as intgcd
 import numpy as np
 
 from slce import cyclotomic
+from slce.cli import DIRECT_VERIFY_BOUND, _odd_prime_powers_upto, _verify_rows
 from slce.cyclotomic import CycInt, _reduce, _require_valid_k, _times_mobius
 from slce.fields import (
     FieldCtx,
@@ -1016,3 +1024,81 @@ def inv(ctx: FieldCtx, x: FieldElt) -> FieldElt:
     if is_zero(x):
         raise ZeroDivisionError("inverse of zero")
     return power(ctx, -dlog(ctx, x))
+
+
+# ---------------------------------------------------------------------------
+# The grid report, assembled whole.
+# ---------------------------------------------------------------------------
+
+
+def _text_block(block: dict, out) -> None:
+    fe = block["field"]
+    mod = fe["modulus"] if fe["modulus"] is not None else "(not built)"
+    alpha = fe["alpha"] if fe["alpha"] is not None else "(not built)"
+    print(f"field: p={fe['p']} m={fe['m']} q={fe['q']} modulus={mod} alpha={alpha}", file=out)
+    if "gcd_factored" in block:
+        print(f"gcd = {block['gcd_factored']}; linear complexity = {block['linear_complexity']}", file=out)
+    for row in block["rows"]:
+        print(f"k={row['k']}:", file=out)
+        if row["factors"] is not None:
+            for f in row["factors"]:
+                print(f"  g={f['g']}: criterion={f['criterion']} direct={f['direct']} match={f['match']}", file=out)
+        else:
+            print(f"  direct: {row['direct_all']}", file=out)
+        pred = row.get("prediction")
+        if pred is not None:
+            print(f"  prediction [{pred['regime']}]: divides={pred['divides']} match={row['prediction_match']}", file=out)
+            print(f"    {pred['condition_trace']}", file=out)
+        elif "prediction_note" in row:
+            print(f"  prediction: {row['prediction_note']}", file=out)
+    s = block["summary"]
+    print(f"summary: rows={s['rows']} mismatches={s['mismatches']} indeterminate={s['indeterminate_predictions']}", file=out)
+
+
+def _csv_lines(block: dict) -> list[str]:
+    lines = []
+    for row in block["rows"]:
+        pred = row.get("prediction")
+        if pred is None:
+            pred_str = "none"
+        elif pred["divides"] == "indeterminate":
+            pred_str = "indeterminate"
+        else:
+            pred_str = str(pred["divides"])
+        pmatch = row.get("prediction_match")
+        if row["factors"] is not None:
+            for f in row["factors"]:
+                lines.append(f"{row['q']},{row['k']},{f['g']},{f['criterion']},{f['direct']},{f['match']},{pred_str},{pmatch}")
+        else:
+            lines.append(f"{row['q']},{row['k']},,,skipped,,{pred_str},{pmatch}")
+    return lines
+
+
+def grid_report(q_max: int, fmt: str, timings: bool) -> tuple[str, str]:
+    """(stdout, stderr) of `slce grid --q-max q_max [--json | --csv] [--timings]`, fmt "json", "csv" or "text".
+
+    Every block is verified here, kept, and the report built from all of
+    them at once.  With --timings, text and CSV put one `# timings` line
+    per field on stderr and JSON keeps each block's timings inline.
+    """
+    blocks = [_verify_rows(p, m, None, q <= DIRECT_VERIFY_BOUND) for q, p, m in _odd_prime_powers_upto(q_max)]
+    out, err = io.StringIO(), io.StringIO()
+    if timings and fmt != "json":
+        for block in blocks:
+            spans = " ".join(f"{name}={seconds:.6f}" for name, seconds in block["_timings"].items())
+            print(f"# timings q={block['field']['q']} {spans}", file=err)
+    reported = [{("timings" if k == "_timings" else k): v for k, v in b.items() if timings or k != "_timings"} for b in blocks]
+    mismatches = sum(block["summary"]["mismatches"] for block in blocks)
+    if fmt == "json":
+        report = {"q_max": q_max, "fields": reported, "summary": {"fields": len(blocks), "mismatches": mismatches}}
+        print(json.dumps(report, indent=2), file=out)
+    elif fmt == "csv":
+        print("q,k,g,criterion,direct,match,prediction,prediction_match", file=out)
+        for block in reported:
+            for line in _csv_lines(block):
+                print(line, file=out)
+    else:
+        for block in reported:
+            _text_block(block, out)
+        print(f"grid summary: fields={len(blocks)} mismatches={mismatches}", file=out)
+    return out.getvalue(), err.getvalue()

@@ -3,15 +3,17 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import field_bundle
-from oracles import divides
+from oracles import divides, grid_report
 import slce
 from slce.cli import _odd_prime_powers_upto, _verify_rows, main
 from slce.cyclotomic import ideal_factors
@@ -321,6 +323,50 @@ def test_grid_report_is_the_same_from_the_pool_and_in_process(monkeypatch, fmt):
     assert reports[0][0] == 0 and reports[0][1]
 
 
+_SECONDS = re.compile(r'(_s(?:": |=))[-+.e0-9]+')  # a timing value, in JSON or on a `# timings` line
+
+
+@pytest.mark.parametrize("q_max", [300, 2, 3])  # 2: no field, "fields": []; 3: one field
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("timings", [False, True])
+def test_grid_streams_the_report_that_assembling_it_whole_gives(monkeypatch, capsys, q_max, fmt, timings):
+    expected = [_SECONDS.sub(r"\1T", text) for text in grid_report(q_max, fmt, timings)]
+    argv = ["grid", "--q-max", str(q_max), *{"json": ["--json"], "csv": ["--csv"], "text": []}[fmt]]
+    for cpus in (SERIAL, POOLED):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        rc, out = run(argv + ["--timings"] * timings)
+        assert rc == 0
+        assert [_SECONDS.sub(r"\1T", text) for text in (out, capsys.readouterr().err)] == expected
+        assert multiprocessing.active_children() == []
+
+
+class _Discard:
+    """An output that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+
+
+def test_grid_never_holds_the_whole_report(monkeypatch):
+    # in one process the rendered blocks are about 1.4 times the report at their peak; one
+    # json.dumps of a dict of every block peaked at 7.4 times, with the dict and its chunk list
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: SERIAL)
+    argv = ["grid", "--q-max", "1000", "--json"]
+    assert main(argv, out=_Discard()) == 0  # fills the per-k caches, which outlive the call
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        rc = main(argv, out=sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and sink.length > 400_000
+    assert peak < 3 * sink.length
+
+
 def test_grid_pool_runs_the_fields_in_worker_processes(monkeypatch):
     real = slce.cli._verify_rows
 
@@ -515,6 +561,14 @@ class _ClosedPipe(io.StringIO):
 def test_closed_output_ends_quietly(capsys):
     assert main(["verify", "-p", "3", "-m", "2000", "-k", "5", "--predict-only"], out=_ClosedPipe()) == 141
     assert capsys.readouterr().err == ""
+
+
+def test_closed_output_ends_grid_quietly(monkeypatch, capsys):
+    # the report is written in pieces, after the workers have finished: the first piece meets the closed pipe
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: POOLED)
+    assert main(["grid", "--q-max", "300", "--json"], out=_ClosedPipe()) == 141
+    assert capsys.readouterr().err == ""
+    assert multiprocessing.active_children() == []
 
 
 def test_closed_stdout_pipe_ends_without_a_traceback():
