@@ -32,7 +32,7 @@ import time
 
 from . import cyclotomic, gf2poly, sequences
 from .predict import NoClosedForm, predict as run_predict
-from .fields import build_field, divisors, field_order, is_prime
+from .fields import bounded_field_order, build_field, divisors, field_order, is_prime
 
 DIRECT_VERIFY_BOUND = 20_000
 
@@ -242,6 +242,7 @@ def cmd_gcd(args, out) -> int:
 
 
 def cmd_jacobi(args, out) -> int:
+    cyclotomic._require_valid_k(bounded_field_order(args.p, args.m), args.k)  # before the tables
     ctx = build_field(args.p, args.m)
     kval = cyclotomic.jacobi_K(ctx, args.k)
     report = dict(ctx.describe())

@@ -16,21 +16,24 @@ Psi_k = (x^k - 1)/Phi_k, the remainder mod Phi_k is (vec * Psi_k mod
 x^k - 1) / Psi_k, and multiplying or dividing by Psi_k is one shift or one
 strided cumulative sum per factor (x^d - 1)^(+-1).  So a reduction is
 O(2^omega(k)) array operations of length O(k), exact, in O(k) memory.  It
-works in int64 when an a priori bound allows and in Python integers
-otherwise.
+runs in int64 only: the steps are exact modulo 2^64, and where an a priori
+bound does not keep the result inside int64, the same steps modulo a prime
+P < 2^31 give each coordinate by CRT.
 
-The criterion packs the parity u of (K + 1)/2 into a GF(2) polynomial in
-one numpy pass and takes G = gcd(Phi_k mod 2, u) by the step the factored
-gcd with x^v + 1 takes for each Phi_d (`gf2poly.gcd_cyclotomic`).  Its
-multiplier is p: sigma_p fixes K, since J(chi^p, chi^p) = J(chi, chi) and
-4^p = 4, so u(x^p) = u(x) mod Phi_k.  When <2, p> is all of (Z/k)*, or
-the product over its orbits is nonzero mod Phi_k, the certificate shows
-G = 1 without Euclid where the cost model prefers it.  Each ideal's g
-divides Phi_k, so g | u exactly when g | G: one remainder per ideal.
+The criterion reads K mod 4 alone.  It packs the parity u of (K + 1)/2
+into a GF(2) polynomial in one numpy pass and takes G = gcd(Phi_k mod 2,
+u) by the step the factored gcd with x^v + 1 takes for each Phi_d
+(`gf2poly.gcd_cyclotomic`).  Its multiplier is p: sigma_p fixes K, since
+J(chi^p, chi^p) = J(chi, chi) and 4^p = 4, so u(x^p) = u(x) mod Phi_k.
+When <2, p> is all of (Z/k)*, or the product over its orbits is nonzero
+mod Phi_k, the certificate shows G = 1 without Euclid where the cost
+model prefers it.  Each ideal's g divides Phi_k, so g | u exactly when
+g | G: one remainder per ideal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,13 +43,14 @@ from .fields import FieldCtx, euler_phi, mobius_factors
 from .gf2poly import _from_coefficients, _mod_int, gcd_cyclotomic, ideal_factors
 
 
-def _times_mobius(a: np.ndarray, factors) -> np.ndarray:
+def _times_mobius(a: np.ndarray, factors, modulus: int = 0) -> np.ndarray:
     """a * prod (x^d - 1)^e over (d, e) in factors, e = +-1; constant first.
 
     Multiplies first and then divides exactly, so every partial result is a
     polynomial.  int64 arithmetic wraps modulo 2^64 and both steps commute
     with that wrap (x^d - 1 is a unit at both ends), so the result is exact
-    whenever its own coefficients fit.
+    whenever its own coefficients fit.  With a modulus, every step is
+    reduced modulo it, and the result is the product's residues.
     """
     for d, e in sorted(factors, key=lambda f: -f[1]):
         n = len(a)
@@ -60,9 +64,13 @@ def _times_mobius(a: np.ndarray, factors) -> np.ndarray:
             if n % d:
                 a = np.concatenate((a, np.zeros(d - n % d, dtype=a.dtype)))
             acc = np.cumsum(a.reshape(-1, d), axis=0).ravel()
+            if modulus:
+                acc %= modulus
             if acc[n - d : n].any():
                 raise ArithmeticError(f"x^{d} - 1 does not divide the partial product")
             a = -acc[: n - d]
+        if modulus:
+            a %= modulus
     return a
 
 
@@ -93,11 +101,9 @@ def _psi_plan(k: int) -> tuple[int, tuple, tuple]:
     return growth, psi, tuple((d, -e) for d, e in psi)
 
 
-def _l1(vec: np.ndarray) -> int:
-    a = np.abs(vec)
-    if a.min() >= 0 and int(a.max()) * len(a) < 2**63:  # abs(-2^63) wraps negative
-        return int(a.sum())
-    return sum(abs(c) for c in vec.tolist())
+# The residue check's prime: odd, above 2^30 so that 2^63 P > 2^93, and below
+# 2^31 so that its cumulative sums stay far inside int64.
+_CHECK_PRIME = 2**31 - 1
 
 
 def _reduce(k: int, vec) -> tuple[int, ...]:
@@ -108,15 +114,42 @@ def _reduce(k: int, vec) -> tuple[int, ...]:
     divide by Psi_k exactly.  Psi_k and 1/Psi_k are products of
     (x^d - 1)^(+-1) over the divisors d < k of k, so each step is a shift
     and subtract or a strided cumulative sum, O(k 2^omega(k)) in all.
-    Works in int64 when |vec|_1 * growth < 2^63 bounds the result (see
-    `_psi_plan`), and in Python integers otherwise.
+
+    vec must fit in int64, and the steps run in int64, which gives each
+    coordinate modulo 2^64.  No coordinate exceeds B = |vec|_1 * growth
+    (see `_psi_plan`).  Where B reaches 2^62, the same steps also run
+    modulo P = `_CHECK_PRIME`, and each coordinate whose two residues mod P
+    disagree comes from CRT, exact while B < 2^63 P.  B >= 2^93 raises
+    ValueError.  (B is summed in float64; its rounding is far inside the
+    factor 2 each threshold leaves.)
     """
     if not (isinstance(vec, np.ndarray) and vec.dtype == np.int64):
-        vec = np.array([int(c) for c in vec], dtype=object)
+        try:
+            vec = np.array([int(c) for c in vec], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"an input coordinate of the reduction mod Phi_{k} does not fit in int64") from None
     growth, psi, inverse = _psi_plan(k)
-    dtype = np.int64 if _l1(vec) * growth < 2**63 else object
-    times_psi = _fold_sum(_times_mobius(_fold_sum(vec.astype(dtype, copy=False), k), psi), k)
-    return tuple(_times_mobius(times_psi, inverse).tolist())
+    bound = float(np.abs(vec, dtype=np.float64).sum()) * growth
+    if bound >= 2.0**93:
+        raise ValueError(
+            f"the reduction mod Phi_{k} is exact below a bound of 2^93; this input's is 2^{math.log2(bound):.1f}"
+        )
+
+    def steps(a, modulus=0):
+        times_psi = _fold_sum(_times_mobius(_fold_sum(a, k), psi, modulus), k)
+        return _times_mobius(times_psi, inverse, modulus)
+
+    wrapped = steps(vec)
+    coords = wrapped.tolist()
+    if bound >= 2.0**62:
+        P = _CHECK_PRIME
+        residues = steps(vec % P, P)
+        inverse_of_2_64 = pow(2**64, -1, P)
+        for i in np.flatnonzero(wrapped % P != residues).tolist():
+            # the coordinate is coords[i] + 2^64 t with |t| <= (P - 1)/2
+            t = (int(residues[i]) - coords[i]) * inverse_of_2_64 % P
+            coords[i] += (t - P if t > P // 2 else t) << 64
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -149,13 +182,13 @@ class CycInt:
 # ---------------------------------------------------------------------------
 
 
-def _require_valid_k(ctx: FieldCtx, k: int) -> None:
+def _require_valid_k(q: int, k: int) -> None:
     if k < 3:
         raise ValueError(f"k = {k} must be >= 3")
     if k % 2 == 0:
         raise ValueError(f"k = {k} must be odd")
-    if (ctx.q - 1) % k != 0:
-        raise ValueError(f"k = {k} does not divide q - 1 = {ctx.q - 1}")
+    if (q - 1) % k != 0:
+        raise ValueError(f"k = {k} does not divide q - 1 = {q - 1}")
 
 
 def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
@@ -164,8 +197,8 @@ def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
     Accumulates one integer count per exponent class mod k, then performs a
     single reduction into the power basis.
     """
-    _require_valid_k(ctx, k)
     q = ctx.q
+    _require_valid_k(q, k)
     i = np.arange(1, q - 1, dtype=np.int64)
     classes = (i + ctx.zech_table[1 : q - 1] + ctx.log4) % k
     counts = np.bincount(classes, minlength=k)
@@ -186,8 +219,8 @@ def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     coordinates mod 2, read as a polynomial in zeta over GF(2).
     """
     coeffs = jacobi_K(ctx, k).coeffs
-    fits = -(2**62) < min(coeffs) and max(coeffs) < 2**62  # with room for the + 1
-    w = np.array(coeffs, dtype=np.int64 if fits else object)
+    # the parity of (K + 1)/2 needs K mod 4 only, which c & 3 reads from any int
+    w = np.array([c & 3 for c in coeffs], dtype=np.int64)
     w[0] += 1
     if (w & 1).any():
         raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")

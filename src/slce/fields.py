@@ -282,6 +282,15 @@ def field_order(p: int, m: int) -> int:
     return p**m
 
 
+def bounded_field_order(p: int, m: int) -> int:
+    """field_order(p, m) after checking that q is within FIELD_SIZE_BOUND."""
+    q = field_order(p, m)
+    if q > FIELD_SIZE_BOUND:
+        shown = q if m * p.bit_length() <= 300 else f"{p}^{m}"  # never print a huge p**m
+        raise ValueError(f"q = p^m = {shown} exceeds the size bound {FIELD_SIZE_BOUND}")
+    return q
+
+
 class FieldCtx:
     """A concrete GF(p^m): canonical modulus and generator, and the Zech table.
 
@@ -293,9 +302,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, m: int):
-        q = field_order(p, m)
-        if q > FIELD_SIZE_BOUND:
-            raise ValueError(f"q = p^m = {q} exceeds the size bound {FIELD_SIZE_BOUND}")
+        q = bounded_field_order(p, m)
         self.p = p
         self.m = m
         self.q = q

@@ -288,8 +288,8 @@ def is_zero(a) -> bool:
 
 def jacobi_with_rho(ctx: FieldCtx, k: int) -> CycInt:
     """J(chi, rho) with rho the quadratic character: rho(alpha^t) = (-1)^t."""
-    _require_valid_k(ctx, k)
     q = ctx.q
+    _require_valid_k(q, k)
     i = np.arange(1, q - 1, dtype=np.int64)
     classes = (i % k).astype(np.int64)
     signs_neg = (ctx.zech_table[i] & 1).astype(bool)

@@ -132,6 +132,14 @@ def test_predict_invalid_k_with_huge_q(capsys):
     assert capsys.readouterr().err == "error: k = 7 does not divide q - 1 = 3^100001 - 1\n"
 
 
+@pytest.mark.parametrize("command", [["seq"], ["gcd"], ["jacobi", "-k", "5"]])
+def test_a_q_too_long_to_print_is_named_in_the_size_bound_message(capsys, command):
+    # q = 3^100001 has 47,713 digits, past Python's int-to-str limit
+    rc, out = run([command[0], "-p", "3", "-m", "100001", *command[1:]])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == "error: q = p^m = 3^100001 exceeds the size bound 2000000\n"
+
+
 def test_predict_rejects_ell_beyond_class_number_bound(capsys):
     # ell = 4294967543 > 2^32: the Dirichlet sum would run for hours
     t0 = time.perf_counter()
@@ -294,6 +302,17 @@ def test_verify_rejects_a_bad_k_before_building_the_field(monkeypatch, capsys):
     rc, out = run(["verify", "-p", "7", "-m", "7", "-k", "4", "--q-max", "2000000"])
     assert (rc, out) == (2, "")
     assert capsys.readouterr().err == "error: k = 4 is not an odd divisor >= 3 of q - 1 = 823542\n"
+
+
+def test_jacobi_rejects_a_bad_k_before_building_the_field(monkeypatch, capsys):
+    monkeypatch.setattr(slce.cli, "build_field", _refuse)
+    rc, out = run(["jacobi", "-p", "1999993", "-m", "1", "-k", "4"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == "error: k = 4 must be odd\n"
+    # the size bound is checked first
+    rc, out = run(["jacobi", "-p", "3", "-m", "14", "-k", "4"])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == "error: q = p^m = 4782969 exceeds the size bound 2000000\n"
 
 
 def test_grid_refuses_a_q_above_the_direct_bound_before_any_row(monkeypatch, capsys):

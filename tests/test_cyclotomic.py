@@ -36,8 +36,8 @@ from oracles import (
 )
 from slce import cyclotomic
 from slce.cli import _odd_prime_powers_upto
-from slce.cyclotomic import CycInt, _l1, _reduce, criterion, ideal_factors, jacobi_K
-from slce.fields import build_field, divisors
+from slce.cyclotomic import CycInt, _psi_plan, _reduce, criterion, ideal_factors, jacobi_K
+from slce.fields import FIELD_SIZE_BOUND, build_field, divisors
 from slce.gf2poly import _gcd_int, _mod_int, _multiplier_certificate, _multiplier_group, cyclotomic_mod2, gcd_cyclotomic, to_str
 from slce.sequences import generate
 
@@ -104,8 +104,8 @@ def test_reduce_and_phi_match_oracles(ks):
 @pytest.mark.parametrize(
     "ks,scales",
     [
-        # 2^61 and 2^70 push the oracle and `_reduce` onto Python integers
-        pytest.param(range(3, 400, 2), (10**3, 2**40, 2**61, 2**70), id="odd-below-400"),
+        # 2^62 and 2^63 (all of int64) push `_reduce` through its residue check and the oracle onto Python integers
+        pytest.param(range(3, 400, 2), (10**3, 2**40, 2**61, 2**62, 2**63), id="odd-below-400"),
         pytest.param([1155, 15015], (10**3,), id="non-flat"),
     ],
 )
@@ -117,11 +117,14 @@ def test_reduce_matches_long_division(ks, scales):
             scale = rng.choice(scales)
             vec = [rng.randrange(-scale, scale) for _ in range(length)]
             assert _reduce(k, vec) == reduce_by_long_division(k, vec), (k, length, scale)
+        if 2**63 in scales:
+            edges = [rng.choice((2**62, -(2**62), -(2**63))) for _ in range(3 * k + 1)]
+            assert _reduce(k, edges) == reduce_by_long_division(k, edges), k
         counts = np.array([rng.randrange(0, 2 * k) for _ in range(k)], dtype=np.int64)
         assert _reduce(k, counts) == reduce_by_long_division(k, counts), k
 
 
-def test_reduce_falls_back_to_python_ints():
+def test_reduce_results_beyond_int64_are_exact():
     # every input fits in int64; some reduced coordinates do not
     assert CycInt.from_exponent_counts(3, [2**62, 0, -(2**62)]) == CycInt(3, (2**63, 2**62))
     k = 105  # some x^j mod Phi_105 have a coordinate +-2
@@ -130,10 +133,34 @@ def test_reduce_falls_back_to_python_ints():
         vec[j] = 2**62
         scaled = CycInt.from_exponent_counts(k, vec).coeffs
         assert scaled == tuple(2**62 * c for c in zeta_power(k, j).coeffs), j
-    # abs(-2^63) wraps to -2^63 in int64; the L1 bound must not
+    # abs(-2^63) wraps to -2^63 in int64; the bound must not
     wrapped = np.array([-(2**63), 1, 0], dtype=np.int64)
-    assert _l1(wrapped) == 2**63 + 1
     assert _reduce(3, wrapped) == (-(2**63), 1)
+
+
+def test_reduce_refuses_an_input_beyond_int64():
+    for vec in ([2**63, 0, 0], np.array([0, -(2**63) - 1, 0], dtype=object)):
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            _reduce(3, vec)
+
+
+def test_reduce_refuses_a_bound_at_the_guard():
+    k = 8191  # prime: Psi_k = x - 1 and |Phi_k|_1 = k, so the growth is 2^13
+    assert _psi_plan(k)[0] == 2**13
+    at_guard = np.full(2**17, -(2**63), dtype=np.int64)  # |vec|_1 * growth = 2^80 * 2^13
+    with pytest.raises(ValueError, match="exact below a bound of 2\\^93"):
+        _reduce(k, at_guard)
+    # one term fewer is reduced: 2^17 - 1 = 16 k + 15 folds to 17 copies on the first 15 classes, 16 elsewhere
+    assert _reduce(k, at_guard[1:]) == (-(2**63),) * 15 + (0,) * (k - 16)
+
+
+def test_reachable_orders_stay_below_the_guard():
+    # K comes from counts over q - 2 field elements, so |counts|_1 * growth <= (FIELD_SIZE_BOUND - 2) * growth.
+    # k = 983,535 divides q - 1 for q = 1,967,071, and the omega(k) = 6 orders 345,345, 373,065 and 435,435
+    # divide q - 1 for q = 1,381,381, 1,492,261 and 870,871.
+    assert ((FIELD_SIZE_BOUND - 2) * _psi_plan(983535)[0]).bit_length() <= 69
+    for k in (345345, 373065, 435435):
+        assert ((FIELD_SIZE_BOUND - 2) * _psi_plan(k)[0]).bit_length() <= 58, k
 
 
 def test_reduction_memory_is_linear_in_k():
