@@ -26,13 +26,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
 
 from . import cyclotomic, gf2poly, sequences
 from .predict import NoClosedForm, predict as run_predict
-from .fields import bounded_field_order, build_field, divisors, field_order, is_prime
+from .fields import bounded_field_order, build_field, check_field, divisors, is_prime, prime_factors
 
 DIRECT_VERIFY_BOUND = 20_000
 
@@ -51,9 +52,14 @@ def _odd_prime_powers_upto(q_max: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
+def _least_odd_prime_power_above(bound: int, q_max: int) -> int | None:
+    """The least odd prime power q with bound < q <= q_max, or None; a prime lies below 2 * bound."""
+    return next((n for n in range((bound + 1) | 1, q_max + 1, 2) if len(prime_factors(n)) == 1), None)
+
+
 def _verify_rows(p: int, m: int, ks: list[int] | None, direct: bool) -> dict:
     """Assemble the verification block for one field (the report core)."""
-    q = p**m  # build_field checks p and m where the callers have not
+    q = p**m  # every caller has checked p and m, and that q is not huge; build_field checks the rest
     for k in sorted(ks or ()):  # before any field is built
         if k < 3 or k % 2 == 0 or (q - 1) % k != 0:
             raise ValueError(f"k = {k} is not an odd divisor >= 3 of q - 1 = {q - 1}")
@@ -227,6 +233,7 @@ def cmd_seq(args, out) -> int:
 
 
 def cmd_gcd(args, out) -> int:
+    bounded_field_order(args.p, args.m)  # before q is formed
     block = _verify_rows(args.p, args.m, ks=[], direct=True)
     if args.json:
         report = {
@@ -270,15 +277,17 @@ def cmd_predict(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    q = field_order(args.p, args.m)
+    check_field(args.p, args.m)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or a Python without one
-    if digits and q >= 10**digits:
+    # an m above (digits + 1) / log10 p puts q past the limit without forming it; below, q decides
+    if digits and (args.m > (digits + 1) / math.log10(args.p) or args.p**args.m >= 10**digits):
         print(
             f"error: q = {args.p}^{args.m} has more than {digits} decimal digits,"
             " the limit for printing an integer in a report",
             file=sys.stderr,
         )
         return 2
+    q = args.p**args.m
     direct = q <= args.q_max
     if not direct and not args.predict_only:
         print(
@@ -387,16 +396,15 @@ def cmd_grid(args, out) -> int:
     and released once written, so the whole report is never built here:
     not as one dict, one string, or the chunks of one encoder.
     """
-    fields = _odd_prime_powers_upto(args.q_max)
-    beyond = next((q for q, _, _ in fields if q > DIRECT_VERIFY_BOUND), None)
-    if beyond is not None and not args.predict_only:
+    beyond = None if args.predict_only else _least_odd_prime_power_above(DIRECT_VERIFY_BOUND, args.q_max)
+    if beyond is not None:
         print(
             f"error: grid reaches q = {beyond} above the direct bound {DIRECT_VERIFY_BOUND};"
             " pass --predict-only to include prediction-only rows",
             file=sys.stderr,
         )
         return 2
-    blocks = _verify_fields(fields, args)
+    blocks = _verify_fields(_odd_prime_powers_upto(args.q_max), args)
     if args.json:
         out.write(f'{{\n  "q_max": {args.q_max},\n  "fields": [')
     elif args.csv:

@@ -26,9 +26,9 @@ u) by the step the factored gcd with x^v + 1 takes for each Phi_d
 (`gf2poly.gcd_cyclotomic`).  Its multiplier is p: sigma_p fixes K, since
 J(chi^p, chi^p) = J(chi, chi) and 4^p = 4, so u(x^p) = u(x) mod Phi_k.
 When <2, p> is all of (Z/k)*, or the product over its orbits is nonzero
-mod Phi_k, the certificate shows G = 1 without Euclid where the cost
-model prefers it.  Each ideal's g divides Phi_k, so g | u exactly when
-g | G: one remainder per ideal.
+mod Phi_k, the certificate shows G = 1 without Euclid, for phi(k) at or
+above the threshold of `gcd_cyclotomic`.  Each ideal's g divides Phi_k,
+so g | u exactly when g | G: one remainder per ideal.
 """
 
 from __future__ import annotations

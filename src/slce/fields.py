@@ -271,23 +271,24 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable
 
 
-def field_order(p: int, m: int) -> int:
-    """q = p^m after checking that p is an odd prime and m a positive integer."""
+def check_field(p: int, m: int) -> None:
+    """Raise ValueError unless p is an odd prime and m a positive integer."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p == 2:
         raise ValueError("p must be an odd prime")
     if m < 1:
         raise ValueError(f"m = {m} must be a positive integer")
-    return p**m
 
 
 def bounded_field_order(p: int, m: int) -> int:
-    """field_order(p, m) after checking that q is within FIELD_SIZE_BOUND."""
-    q = field_order(p, m)
+    """q = p^m after `check_field` and a check that q is within FIELD_SIZE_BOUND."""
+    check_field(p, m)
+    if m * p.bit_length() > 300:  # then p^m >= 2^150: neither formed nor printed
+        raise ValueError(f"q = p^m = {p}^{m} exceeds the size bound {FIELD_SIZE_BOUND}")
+    q = p**m
     if q > FIELD_SIZE_BOUND:
-        shown = q if m * p.bit_length() <= 300 else f"{p}^{m}"  # never print a huge p**m
-        raise ValueError(f"q = p^m = {shown} exceeds the size bound {FIELD_SIZE_BOUND}")
+        raise ValueError(f"q = p^m = {q} exceeds the size bound {FIELD_SIZE_BOUND}")
     return q
 
 

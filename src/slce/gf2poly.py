@@ -21,14 +21,14 @@ which costs the sum of phi(d)^2 rather than w^2, the same when w is
 prime.  The criterion of `slce.cyclotomic` takes the same step with
 Phi_k.  Its caller names a multiplier p with r(x^p) = r(x) mod Phi_d (for
 an SLCE sequence, and for the parity of (K + 1)/2, p is the
-characteristic; 1 suits any r).  Where a cost model expects it to be
-cheaper, a certificate may settle G_d = 1 with t' - 1 float-FFT products,
-t' the number of <2, p>-orbits of (Z/d)*; for t' = 1 it needs no product,
-as G_d = 1 iff r != 0 (`_multiplier_certificate`).  Euclid runs whenever
-the certificate does not show G_d = 1.  The factors of G_d are those of
-Phi_d that divide it; Phi_d is split once, by sums of x^j over 2-cyclotomic
-cosets (`ideal_factors`, cached, the criterion's prime ideals above 2 too);
-the power 2^e enters only through each factor's multiplicity.
+characteristic; 1 suits any r).  From one size threshold on phi(d), a
+certificate may settle G_d = 1 by doubling, with O(log t') float-FFT
+products, t' the number of <2, p>-orbits of (Z/d)*; for t' = 1 it needs no
+product, as G_d = 1 iff r != 0 (`_multiplier_certificate`).  Euclid runs
+whenever the certificate does not show G_d = 1.  The factors of G_d are
+those of Phi_d that divide it; Phi_d is split once, by sums of x^j over
+2-cyclotomic cosets (`ideal_factors`, cached, the criterion's prime ideals
+above 2 too); the power 2^e enters only through each factor's multiplicity.
 
 Degree of the zero polynomial is the sentinel -1; nonzero polynomials over
 GF(2) are automatically monic.
@@ -233,9 +233,10 @@ def ideal_factors(n: int) -> tuple[int, ...]:
 # roots beta^j, j in (Z/d)*, form a union of orbits of <2, p>.  Multiplying
 # j by a unit permutes the orbits, so N = prod r(x^a), over one a per orbit,
 # vanishes at every root of Phi_d or at none: gcd(Phi_d, r) = 1 exactly when
-# N mod Phi_d != 0.  Each r(x^a) is an index gather and each product one
-# float FFT of 0/1 arrays, whose exact coefficients are at most d (below
-# 2^21 for every field the CLI builds, far inside float64's 2^53).
+# N mod Phi_d != 0.  N is formed by doubling, over subgroups H >= <2, p>
+# grown one cyclic step at a time.  Each r(x^c) is an index gather and each
+# product one float FFT of 0/1 arrays, whose exact coefficients are at most
+# d (below 2^21 for every field the CLI builds, far inside float64's 2^53).
 # ---------------------------------------------------------------------------
 
 
@@ -285,23 +286,31 @@ def _product_mod2(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray | None:
     return (coeffs[:d] & 1).astype(np.uint8)
 
 
-def _multiplier_group(d: int, p: int) -> np.ndarray:
-    """The elements of the subgroup <2, p> of (Z/d)*, d > 1 odd and p prime to d, in no set order."""
-    order = multiplicative_order(2, d)
-    twos = np.ones(1, dtype=np.int64)
-    while twos.size < order:  # 2^(n + i) = 2^n * 2^i
-        twos = np.concatenate([twos, twos * pow(2, twos.size, d) % d])
-    twos = twos[:order]
-    in_twos = np.zeros(d, dtype=bool)
-    in_twos[twos] = True
-    steps = [1]  # p^i for i below the least j with p^j in <2>
-    while not in_twos[steps[-1] * p % d]:
-        steps.append(steps[-1] * p % d)
-    return (np.array(steps, dtype=np.int64)[:, None] * twos % d).ravel()
+def _adjoin(members: np.ndarray, a: int, d: int) -> np.ndarray:
+    """a^0 .. a^(t - 1) mod d, t the least with a^t in H, the subgroup of (Z/d)* members marks; marks <H, a>."""
+    powers = np.ones(1, dtype=np.int64)
+    while not members[powers[1:]].any():  # a^(n + i) = a^n a^i
+        powers = np.concatenate([powers, powers * pow(a, powers.size, d) % d])
+    powers = powers[: 1 + np.argmax(members[powers[1:]])]
+    members[(powers[:, None] * np.flatnonzero(members) % d).ravel()] = True  # <H, a>: the cosets a^i H
+    return powers
 
 
-def _multiplier_certificate(r: int, d: int, p: int, group: np.ndarray) -> bool | None:
-    """Whether gcd(Phi_d, r) = 1, r of degree < d, from the multiplier p; group is `_multiplier_group(d, p)`.
+def _power_product(f: np.ndarray, powers: np.ndarray, d: int) -> np.ndarray | None:
+    """prod f(x^(1/a^i)) mod x^d + 1 over i < t, powers = a^0 .. a^(t - 1) mod d; None as `_product_mod2`."""
+    index = np.arange(d, dtype=np.int64)  # g[index * c % d] is g(x^(1/c)) mod x^d + 1
+    product, t = f, powers.size  # R(n), the product over i < n, for n the leading bits of t
+    for shift in range(t.bit_length() - 2, -1, -1):
+        product = _product_mod2(product, product[index * powers[t >> (shift + 1)] % d], d)  # R(2n)
+        if product is not None and t >> shift & 1:
+            product = _product_mod2(f, product[index * powers[1] % d], d)  # R(n + 1)
+        if product is None:
+            return None
+    return product
+
+
+def _multiplier_certificate(r: int, d: int, p: int) -> bool | None:
+    """Whether gcd(Phi_d, r) = 1, r of degree < d, from the multiplier p, prime to d > 1.
 
     None when it cannot tell: r(x^p) != r(x) mod Phi_d, or a float
     product is not near integers.
@@ -311,48 +320,35 @@ def _multiplier_certificate(r: int, d: int, p: int, group: np.ndarray) -> bool |
     # the gather is r(x^(1/p)) mod x^d + 1, equal to r mod Phi_d exactly when r(x^p) is
     if _mod_cyclotomic(_from_coefficients(coeffs[index * (p % d) % d]), d) != _mod_cyclotomic(r, d):
         return None
-    unseen = np.ones(d, dtype=bool)  # units of Z/d in no orbit so far
+    units = np.ones(d, dtype=bool)
     for ell in prime_factors(d):
-        unseen[::ell] = False
-    unseen[group] = False  # the orbit of 1
-    product = coeffs
-    while unseen.any():
-        a = int(np.argmax(unseen))
-        unseen[group * a % d] = False
-        product = _product_mod2(product, coeffs[index * pow(a, -1, d) % d], d)  # times r(x^a)
-        if product is None:
-            return None
-    return _mod_cyclotomic(_from_coefficients(product), d) != 0
+        units[::ell] = False
+    members = index == 1
+    for a in (2, p % d):  # H = <2, p>: its cosets are the orbits
+        _adjoin(members, a, d)
+    product = coeffs  # over one a per orbit in H, then in <H, a> for the least unit a outside H
+    while product is not None and (outside := units & ~members).any():
+        product = _power_product(product, _adjoin(members, int(np.argmax(outside)), d), d)
+    return None if product is None else _mod_cyclotomic(_from_coefficients(product), d) != 0
 
 
-# Cost model, in seconds on a 2-core x86-64 machine with Python 3.11 and
-# numpy 2.4, fitted at d = 4,069 to 797,161: Euclid on degree phi(d) takes
-# about 3e-11 * phi(d)^2; the certificate's set-up (the group, the gather
-# check, the orbit marks) about 1e-4 + 4e-8 * d; and each of its t' - 1
-# products, t' the number of orbits, about 4e-9 * n log2 n at FFT length n.
-_EUCLID_S = 3e-11
-_SETUP_S = 1e-4
-_SETUP_PER_D_S = 4e-8
-_PRODUCT_S = 4e-9
+# gcd_cyclotomic tries the certificate from this phi(d) on.  Timed best of 3
+# on a 2-core x86-64 (Python 3.11, numpy 2.4) over 599 calls with phi(d) in
+# [4000, 40000], Euclid and the certificate broke even between 8,192 and
+# 10,000 (205 against 214 ms summed); the certificate won in every band above.
+_CERTIFICATE_DEGREE = 10_000
 
 
 def gcd_cyclotomic(d: int, r: int, multiplier: int) -> int:
     """gcd(Phi_d mod 2, r) for r reduced mod Phi_d and a multiplier p of r: r(x^p) = r(x) mod Phi_d.
 
-    Where the cost model expects it to be cheaper than Euclid, the
-    multiplier certificate may show that the gcd is 1; Euclid decides
-    everything else.  Every r has the multiplier 1.
+    For r != 0, p prime to d and phi(d) >= _CERTIFICATE_DEGREE, the multiplier certificate
+    may show that the gcd is 1; Euclid decides the rest.  Every r has the multiplier 1.
     """
     phi_d = cyclotomic_mod2(d)
-    phi = phi_d.bit_length() - 1
-    euclid = _EUCLID_S * phi * phi
-    setup = _SETUP_S + _SETUP_PER_D_S * d
-    if r and setup < euclid and math.gcd(multiplier, d) == 1:
-        group = _multiplier_group(d, multiplier)
-        n = _smooth_length(2 * d - 1)
-        products = (phi // group.size - 1) * _PRODUCT_S * n * math.log2(n)
-        if setup + products < euclid and _multiplier_certificate(r, d, multiplier, group):
-            return 1
+    big = phi_d.bit_length() - 1 >= _CERTIFICATE_DEGREE
+    if r and big and math.gcd(multiplier, d) == 1 and _multiplier_certificate(r, d, multiplier):
+        return 1
     return _gcd_int(phi_d, r)
 
 

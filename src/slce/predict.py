@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import field_order, is_prime, order_and_primes
+from .fields import check_field, is_prime, order_and_primes
 
 
 class NoClosedForm(ValueError):
@@ -359,7 +359,7 @@ def predict(p: int, m: int, k: int) -> Prediction:
         raise ValueError(f"k = {k} must be an odd integer >= 3")
     if m < 1:
         raise ValueError(f"m = {m} must be a positive integer")
-    field_order(p, 1)  # rejects a p that is not an odd prime, without forming p**m
+    check_field(p, m)  # rejects a p that is not an odd prime
     if pow(p, m, k) != 1:
         q_minus_1 = p**m - 1 if m * p.bit_length() <= 300 else f"{p}^{m} - 1"  # never print a huge p**m
         raise ValueError(f"k = {k} does not divide q - 1 = {q_minus_1}")

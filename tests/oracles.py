@@ -12,7 +12,9 @@ squarefree part.  It is the oracle of `slce.gf2poly.gcd_factors` and
 the cyclotomic-coset idempotents.
 
 `gcd_by_divmod` is textbook Euclid on `_divmod_int` alone, the oracle of
-`_gcd_int` and of the factored gcd with x^v + 1.  `divides` tests g | s by
+`_gcd_int` and of the factored gcd with x^v + 1.  `multiplier_group` finds
+<2, p> in (Z/d)* by search, the oracle of the group the multiplier
+certificate builds by cyclic steps (`gf2poly._adjoin`).  `divides` tests g | s by
 one remainder against the whole of s; the CLI reads the same answer off
 the factors of gcd(x^v + 1, s).  `linear_complexity` (one Euclid with all
 of x^v + 1, `poly_from_seq` the sequence polynomial) and Berlekamp-Massey
@@ -140,6 +142,18 @@ def gcd_by_divmod(a: int, b: int) -> int:
     while b:
         a, b = b, _divmod_int(a, b)[1]
     return a
+
+
+def multiplier_group(d: int, p: int) -> set[int]:
+    """The subgroup <2, p> of (Z/d)*, d odd and p prime to d, by search from 1 under j -> 2j and j -> pj."""
+    group, frontier = {1}, [1]
+    while frontier:
+        a = frontier.pop()
+        for b in (2 * a % d, p * a % d):
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
 
 
 def is_irreducible(f: int) -> bool:

@@ -15,7 +15,7 @@ import pytest
 from conftest import field_bundle
 from oracles import divides, grid_report
 import slce
-from slce.cli import _odd_prime_powers_upto, _verify_rows, main
+from slce.cli import _least_odd_prime_power_above, _odd_prime_powers_upto, _verify_rows, main
 from slce.cyclotomic import ideal_factors
 from slce.gf2poly import gcd_factors, to_str
 
@@ -138,6 +138,40 @@ def test_a_q_too_long_to_print_is_named_in_the_size_bound_message(capsys, comman
     rc, out = run([command[0], "-p", "3", "-m", "100001", *command[1:]])
     assert (rc, out) == (2, "")
     assert capsys.readouterr().err == "error: q = p^m = 3^100001 exceeds the size bound 2000000\n"
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["seq"], "q = p^m = 3^100000000 exceeds the size bound 2000000"),
+        (["gcd"], "q = p^m = 3^100000000 exceeds the size bound 2000000"),
+        (["jacobi", "-k", "5"], "q = p^m = 3^100000000 exceeds the size bound 2000000"),
+        (["verify", "-k", "5", "--predict-only"], "q = 3^100000000 has more than 4300 decimal digits"),
+    ],
+)
+def test_a_huge_m_is_refused_before_q_is_formed(capsys, command, message):
+    # 3^(10^8) has 158 million bits; forming it alone takes seconds
+    t0 = time.perf_counter()
+    rc, out = run([command[0], "-p", "3", "-m", str(10**8), *command[1:]])
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_gcd_at_7_7_decides_its_two_largest_d_by_the_certificate(monkeypatch):
+    # d = 137,257 and 411,771 divide the odd part of 7^7 - 1, with 52 and 104 orbits of <2, 7>
+    verdicts = {}
+    certificate = slce.gf2poly._multiplier_certificate
+
+    def record(r, d, p):
+        verdicts[d] = certificate(r, d, p)
+        return verdicts[d]
+
+    monkeypatch.setattr(slce.gf2poly, "_multiplier_certificate", record)
+    rc, out = run(["gcd", "-p", "7", "-m", "7", "--json"])
+    assert rc == 0
+    assert (json.loads(out)["gcd_factored"], json.loads(out)["linear_complexity"]) == ("1", 823542)
+    assert verdicts == {137257: True, 411771: True}
 
 
 def test_predict_rejects_ell_beyond_class_number_bound(capsys):
@@ -325,6 +359,23 @@ def test_grid_refuses_a_q_above_the_direct_bound_before_any_row(monkeypatch, cap
         " pass --predict-only to include prediction-only rows\n"
     )
     assert multiprocessing.active_children() == []
+
+
+def test_least_odd_prime_power_above_a_bound_is_the_first_listed():
+    listed = [q for q, _, _ in _odd_prime_powers_upto(3002)]
+    for bound in range(3000):
+        for q_max in (bound, bound + 1, bound + 2, 3000):
+            want = next((q for q in listed if bound < q <= q_max), None)
+            assert _least_odd_prime_power_above(bound, q_max) == want, (bound, q_max)
+
+
+def test_grid_refuses_a_huge_q_max_without_listing_the_fields(monkeypatch, capsys):
+    monkeypatch.setattr(slce.cli, "_odd_prime_powers_upto", _refuse)
+    t0 = time.perf_counter()
+    rc, out = run(["grid", "--q-max", str(10**12)])
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: grid reaches q = 20011 above the direct bound 20000;")
 
 
 # grid runs its fields on one forked worker per CPU in os.sched_getaffinity(0); one CPU runs them in-process

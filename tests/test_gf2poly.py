@@ -22,6 +22,7 @@ from oracles import (
     lfsr_regenerate,
     linear_complexity,
     minimal_polys_of_order,
+    multiplier_group,
     mul_int,
     poly_from_seq,
     recombine,
@@ -29,9 +30,11 @@ from oracles import (
     x_pow_plus_one,
 )
 from slce.cli import _odd_prime_powers_upto
-from slce.fields import build_field, divisors
+from slce.fields import build_field, divisors, multiplicative_order
 from slce import gf2poly
 from slce.gf2poly import (
+    _CERTIFICATE_DEGREE,
+    _adjoin,
     _coefficients,
     _cyclotomic_plan,
     _divmod_int,
@@ -41,7 +44,6 @@ from slce.gf2poly import (
     _mod_cyclotomic,
     _mod_int,
     _multiplier_certificate,
-    _multiplier_group,
     _smooth_length,
     _sqr_int,
     _times_binomials,
@@ -212,10 +214,9 @@ def _certificate_cases(p, m):
 
 def _check_certificate(d, r, p):
     """The certificate agrees with Euclid on Phi_d; returns (t' = 1, verdict)."""
-    group = _multiplier_group(d, p)
-    verdict = _multiplier_certificate(r, d, p, group)
+    verdict = _multiplier_certificate(r, d, p)
     assert verdict == (_gcd_int(_cyclotomic_plan(d)[0], r) == 1), (p, d)
-    return cyclotomic_mod2(d).bit_length() - 1 == group.size, verdict
+    return cyclotomic_mod2(d).bit_length() - 1 == len(multiplier_group(d, p)), verdict
 
 
 def _factors_by_euclid(v, s, monkeypatch):
@@ -245,39 +246,83 @@ def test_multiplier_certificate_matches_euclid_at_long_periods(monkeypatch, p, m
 
 
 def test_gcd_cyclotomic_takes_the_certificate_where_it_is_cheaper(monkeypatch):
-    # the multiplier 1 suits any r; at d = 20,029 (one orbit of <2>) and 20,023 (two orbits)
-    # the cost model picks the certificate, which shows G_d = 1 and leaves G_d != 1 to Euclid
+    # the certificate is tried exactly when phi(d) >= _CERTIFICATE_DEGREE, r != 0 and the
+    # multiplier is prime to d (1 suits any r); it shows G_d = 1 and leaves G_d != 1 to Euclid.
+    # 9,973 and 10,007 are the primes around the threshold; 20,029 has one orbit of <2>, 20,023 two
+    assert 9973 - 1 < _CERTIFICATE_DEGREE <= 10007 - 1  # phi(d) = d - 1 for a prime d
     runs = []
     certificate = gf2poly._multiplier_certificate
     monkeypatch.setattr(gf2poly, "_multiplier_certificate", lambda *args: runs.append(args[1]) or certificate(*args))
     rng = random.Random(20023)
-    for d in [20029, 20023]:
+    for d in [9973, 10007, 20029, 20023]:
         phi_d = cyclotomic_mod2(d)
         r = rng.getrandbits(phi_d.bit_length() - 1)
         shares_g = _mod_int(mul_int(ideal_factors(d)[0], r), phi_d)  # 0 when Phi_d is irreducible
         for case in [r, shares_g, 0]:
-            assert gcd_cyclotomic(d, case, 1) == _gcd_int(phi_d, case), d
-    assert runs == [20029, 20023, 20023]  # r = 0 goes straight to Euclid
+            for multiplier in [1, d]:  # d is not prime to d
+                assert gcd_cyclotomic(d, case, multiplier) == _gcd_int(phi_d, case), d
+    # 9,973 runs Euclid alone; r = 0 goes straight to Euclid
+    assert runs == [10007, 10007, 20029, 20023, 20023]
 
 
 def test_multiplier_group_is_generated_by_2_and_p():
-    for d, p in [(7, 3), (15, 7), (91, 3), (105, 11), (1023, 5), (4069, 5)]:
-        want, frontier = {1}, [1]
-        while frontier:
-            a = frontier.pop()
-            for b in (2 * a % d, p * a % d):
-                if b not in want:
-                    want.add(b)
-                    frontier.append(b)
-        got = _multiplier_group(d, p)
-        assert sorted(got.tolist()) == sorted(want), (d, p)
+    # the certificate's group: 2, then p, adjoined to {1}, each by its powers until one lands in H
+    for d, p in [(7, 3), (15, 7), (91, 3), (105, 11), (1023, 5), (4069, 5), (83333, 1999993)]:
+        members = np.arange(d) == 1
+        orders = [_adjoin(members, a, d).size for a in (2, p % d)]
+        assert set(np.flatnonzero(members).tolist()) == multiplier_group(d, p), (d, p)
+        assert orders[0] == multiplicative_order(2, d), (d, p)
+        assert orders[0] * orders[1] == members.sum(), (d, p)
+
+
+def test_adjoin_returns_the_powers_until_one_lands_in_the_group():
+    # in (Z/91)*, <2> has order 12; 3 then adds the cosets 3^i <2> for i below the first 3^t in <2>
+    members = np.arange(91) == 1
+    assert _adjoin(members, 2, 91).tolist() == [pow(2, i, 91) for i in range(12)]
+    two = set(np.flatnonzero(members).tolist())
+    t = next(i for i in range(1, 91) if pow(3, i, 91) in two)
+    assert _adjoin(members, 3, 91).tolist() == [pow(3, i, 91) for i in range(t)]
+    assert set(np.flatnonzero(members).tolist()) == multiplier_group(91, 3)
+    assert _adjoin(members, 3, 91).tolist() == [1]  # already in H: t = 1, H unchanged
+    assert set(np.flatnonzero(members).tolist()) == multiplier_group(91, 3)
+
+
+@pytest.mark.parametrize(
+    "p,m,d,orbits",
+    [(7, 7, 137257, 52), (7, 7, 411771, 104), (1999993, 1, 83333, 498)],
+)
+def test_multiplier_certificate_matches_euclid_with_many_orbits(monkeypatch, p, m, d, orbits):
+    # t' = phi(d) / |<2, p>| orbits; each cyclic step of the quotient, with t cosets, may take
+    # at most 2 ceil(log2 t) products, and the steps' t multiply to t'
+    _, _, s2 = field_bundle(p, m)
+    r = _fold(s2, d)
+    steps = []  # [t, one entry per product] for each cyclic step
+    power_product, product_mod2 = gf2poly._power_product, gf2poly._product_mod2
+
+    def counted_step(f, powers, d):
+        steps.append([powers.size])
+        return power_product(f, powers, d)
+
+    def counted_product(*args):
+        steps[-1].append(1)
+        return product_mod2(*args)
+
+    monkeypatch.setattr(gf2poly, "_power_product", counted_step)
+    monkeypatch.setattr(gf2poly, "_product_mod2", counted_product)
+    assert _check_certificate(d, r, p) == (False, True)
+    assert (cyclotomic_mod2(d).bit_length() - 1) // len(multiplier_group(d, p)) == orbits
+    assert math.prod(t for t, *_ in steps) == orbits
+    for t, *calls in steps:
+        assert len(calls) <= 2 * math.ceil(math.log2(t)), (t, len(calls))
+    if p == 1999993:
+        assert len(steps) >= 2  # <2, p> = <2> here, and its quotient takes several cyclic steps
 
 
 def test_certificate_falls_back_when_p_is_not_a_multiplier(monkeypatch):
     v, p = 13**5 - 1, 13
     s = generate(build_field(13, 5)).as_int() ^ 2  # flip the coefficient of x: D is no longer fixed by t -> 13 t
     for d in [30941, 92823]:
-        assert _multiplier_certificate(_fold(s, d), d, p, _multiplier_group(d, p)) is None
+        assert _multiplier_certificate(_fold(s, d), d, p) is None
     want = _factors_by_euclid(v, s, monkeypatch)
     assert gcd_factors(v, s, p) == want
     assert gcd_factors(v, s, 3) == want
@@ -287,8 +332,8 @@ def test_certificate_falls_back_when_p_is_not_a_multiplier(monkeypatch):
 def test_certificate_of_zero_and_one():
     for d, p in [(7, 3), (15, 7), (73, 3), (4069, 5)]:
         # 0 vanishes at every root of Phi_d, 1 at none
-        assert _multiplier_certificate(0, d, p, _multiplier_group(d, p)) is False
-        assert _multiplier_certificate(1, d, p, _multiplier_group(d, p)) is True
+        assert _multiplier_certificate(0, d, p) is False
+        assert _multiplier_certificate(1, d, p) is True
     for v in [1, 4, 7, 12, 45, 96, 252]:
         assert gcd_factors(v, 0, 5) == berlekamp_factor(x_pow_plus_one(v)), v
 
@@ -305,7 +350,7 @@ def test_rounding_guard_falls_back_to_euclid(monkeypatch):
 
     monkeypatch.setattr(gf2poly, "_convolve", off_by_three_tenths)
     d, p = 92823, 13
-    assert _multiplier_certificate(_fold(s, d), d, p, _multiplier_group(d, p)) is None
+    assert _multiplier_certificate(_fold(s, d), d, p) is None
     calls.clear()
     assert gcd_factors(13**5 - 1, s, 13) == want
     assert calls  # the certificate ran, failed its guard, and Euclid decided
