@@ -1,21 +1,26 @@
 """Closed-form divisibility predictors for SLCE sequence polynomials.
 
-Two regimes admit closed forms for K and hence for divisibility of the
-sequence polynomial by cyclotomic-type factors:
+`predict(p, m, k)` routes on the order e of p mod k to the one regime
+whose hypotheses hold, and raises NoClosedForm when none does.  Each
+regime is one function of the numbers its hypotheses fix:
 
-* pure: some power of p is -1 mod k.  K is a rational integer
+* pure(p, m, k, t, s), when e is even and p^(e/2) = -1 (mod k): t = e/2 is
+  the least t with p^t = -1 (mod k), and s = m/e.  K is a rational integer
   (+/- p^(m/2)) and divisibility depends only on the parities of s and ts.
 
-* index 2: the subgroup generated by p has index 2 in the units mod
-  k = ell^r, with ell = 7 mod 8 prime.  K lies in the imaginary quadratic
-  field of discriminant -ell:
+* index2(p, m, ell, r, e), when k = ell^r with ell = 7 mod 8 prime and
+  phi(k) = 2e, so that p generates the subgroup of index 2 in the units
+  mod k.  K lies in the imaginary quadratic field of discriminant -ell:
 
       K = (-1)^(s-1) * p^((e-h)s/2) * ((a + b*sqrt(-ell))/2)^s,
 
-  with e = phi(k)/2, m = es, h the class number of the field, and (a, b)
-  the (sign-resolved a, |b|) solution of 4p^h = a^2 + ell b^2.  The sign
+  with m = es, h the class number of the field, and (a, b) the
+  (sign-resolved a, |b|) solution of 4p^h = a^2 + ell b^2.  The sign
   of b varies with the character and is never resolved here; when the two
   sign branches disagree the prediction is reported as indeterminate.
+  Each branch's class mod 4 comes from a modular power; the trace prints
+  the branch value in full while it has at most 4300 decimal digits, and
+  beyond that as the signed power of its base.
 
 The index-2 prefactor (-1)^(s-1) is pinned by exact Jacobi-sum
 computations at q = 37^3, 53^3, 109^3, 137^3, 11^3, 23^3, 11^6 and 3^11
@@ -40,37 +45,6 @@ from .fields import check_field, is_prime, order_and_primes
 
 class NoClosedForm(ValueError):
     """Raised when (p, m, k) falls in neither the pure nor the index-2 regime."""
-
-
-@dataclass(frozen=True)
-class PureCaseParams:
-    p: int
-    m: int
-    k: int
-    order: int  # of p mod k
-    k_primes: tuple[int, ...]  # prime factors of k
-    t: int | None  # least positive t with p^t = -1 mod k, if any
-    s: int | None  # m / (2t) when integral
-    applicable: bool
-    reason: str
-
-
-def pure_case_params(p: int, m: int, k: int) -> PureCaseParams:
-    """Find the least t with p^t = -1 (mod k); set s = m/(2t) if exact."""
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k = {k} must be an odd integer >= 3")
-    if math.gcd(p, k) != 1:
-        raise ValueError(f"gcd({p}, {k}) != 1")
-    order, k_primes = order_and_primes(p, k)
-    # -1 is the only element of order 2 in the cyclic group <p>, so it is a
-    # power of p iff p^(order/2) = -1, and then t = order/2 is the least one
-    t = order // 2 if order % 2 == 0 and pow(p, order // 2, k) == k - 1 else None
-    if t is None:
-        return PureCaseParams(p, m, k, order, k_primes, None, None, False, "no power of p is -1 mod k")
-    if m % (2 * t) != 0:
-        reason = f"m = {m} is not a multiple of 2t = {2 * t}"
-        return PureCaseParams(p, m, k, order, k_primes, t, None, False, reason)
-    return PureCaseParams(p, m, k, order, k_primes, t, m // (2 * t), True, "pure")
 
 
 @dataclass(frozen=True)
@@ -106,30 +80,21 @@ def _all_ones_name(k: int) -> str:
     return f"1+x+...+x^{k - 1}"
 
 
-def pure_prediction(params: PureCaseParams) -> Prediction:
-    """Pure-regime verdict for the full factor 1 + x + ... + x^(k-1); params.applicable must hold.
+def pure(p: int, m: int, k: int, t: int, s: int) -> Prediction:
+    """Pure-regime verdict for the full factor 1 + x + ... + x^(k-1).
 
-    The same verdict applies to every minimal polynomial of an element of
-    order dividing k (order exactly k included), so the full-factor and
-    per-factor answers coincide.
+    Requires t to be the least positive integer with p^t = -1 (mod k), and
+    m = 2ts.  The same verdict applies to every minimal polynomial of an
+    element of order dividing k (order exactly k included), so the
+    full-factor and per-factor answers coincide.
     """
-    p, m, k, t, s = params.p, params.m, params.k, params.t, params.s
     if p % 4 == 1:
         divides = s % 2 == 0
         trace = f"p=1 mod 4: divides iff s even; t={t}, s={s}"
     else:
         divides = (s % 2 == 0) or (t * s % 2 == 1)
         trace = f"p=3 mod 4: divides iff s even or ts odd; t={t}, s={s}, ts={t * s}"
-    return Prediction(
-        p=p,
-        m=m,
-        k=k,
-        regime="pure",
-        target=_all_ones_name(k),
-        divides=divides,
-        params={"t": t, "s": s},
-        condition_trace=trace,
-    )
+    return Prediction(p, m, k, "pure", _all_ones_name(k), divides, {"t": t, "s": s}, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +131,6 @@ def class_number(ell: int) -> int:
     if rem or h < 1:
         raise ArithmeticError(f"Dirichlet sum gave a non-positive or fractional class number for ell = {ell}")
     return h
-
-
-@dataclass(frozen=True)
-class Index2Params:
-    p: int
-    m: int
-    ell: int
-    r: int
-    k: int
-    e: int  # phi(k)/2
-    s: int  # m / e
-    h: int  # class number of the quadratic field
-    a: int  # sign-resolved
-    b_abs: int
-
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "r": self.r,
-            "k": self.k,
-            "e": self.e,
-            "s": self.s,
-            "h": self.h,
-            "a": self.a,
-            "b_abs": self.b_abs,
-        }
 
 
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
@@ -274,12 +213,33 @@ def represent(p: int, ell: int, h: int, e: int) -> tuple[int, int]:
     return a, b_abs
 
 
-def index2_case_params(p: int, m: int, ell: int, r: int, e: int) -> Index2Params:
-    """The derived quantities of the index-2 regime.
+_TRACE_DIGITS = 4300  # a branch value with more decimal digits is printed as a power
+
+
+def _power_str(sign: int, base: int, s: int) -> str:
+    """sign * base^s in decimal while it has at most _TRACE_DIGITS digits, else as that power.
+
+    |base|^s >= 2^(s (bitlength(base) - 1)), so the power is formed only
+    when that bound leaves it below 10^_TRACE_DIGITS.
+    """
+    if s * (abs(base).bit_length() - 1) < _TRACE_DIGITS * math.log2(10):
+        value = sign * base**s
+        if abs(value) < 10**_TRACE_DIGITS:
+            return str(value)
+    return f"{'-' if sign < 0 else ''}({base})^{s}"
+
+
+def index2(p: int, m: int, ell: int, r: int, e: int) -> Prediction:
+    """Index-2 verdict; definite only when both b-sign branches agree.
 
     Requires ell = 7 mod 8 prime, r >= 1 and p of index 2 mod k = ell^r, so
     that e = ord_k(p) = phi(k)/2; then no power of p is -1 mod k, as -1 is
     no square mod ell^r.  Raises NoClosedForm when e does not divide m.
+
+    Branch values correspond to conjugate characters (conjugation flips the
+    sign of b), so for r = 1 a definite verdict covers the full factor
+    1 + x + ... + x^(k-1); for r > 1 the verdict is per minimal polynomial
+    of an order-k element.  When b = 0 mod 4 the branches always agree.
     """
     if m % e != 0:
         raise NoClosedForm(f"m = {m} is not a multiple of e = phi(k)/2 = {e}")
@@ -290,51 +250,25 @@ def index2_case_params(p: int, m: int, ell: int, r: int, e: int) -> Index2Params
     a, b_abs = represent(p, ell, h, e)
     if a % 2 != 0 or b_abs % 2 != 0:
         raise ArithmeticError(f"a = {a}, b = {b_abs} should both be even for ell = 7 mod 8")
-    return Index2Params(p=p, m=m, ell=ell, r=r, k=ell**r, e=e, s=s, h=h, a=a, b_abs=b_abs)
-
-
-def _index2_condition_value(params: Index2Params, b: int) -> int:
-    """Signed integer whose class mod 4 decides divisibility for one b sign."""
-    p, s, e, h = params.p, params.s, params.e, params.h
-    exponent = s - 1
-    if p % 4 == 3:
-        exponent += (e - h) * s // 2
-    return (-1) ** (exponent % 2) * ((params.a + b) // 2) ** s
-
-
-def index2_prediction(params: Index2Params) -> Prediction:
-    """Index-2 verdict; definite only when both b-sign branches agree.
-
-    Branch values correspond to conjugate characters (conjugation flips the
-    sign of b), so for r = 1 a definite verdict covers the full factor
-    1 + x + ... + x^(k-1); for r > 1 the verdict is per minimal polynomial
-    of an order-k element.  When b = 0 mod 4 the branches always agree.
-    """
-    ell, r = params.ell, params.r
-    values = {b: _index2_condition_value(params, b) for b in (params.b_abs, -params.b_abs)}
-    branch = {b: value % 4 == 3 for b, value in values.items()}
-    agree = branch[params.b_abs] == branch[-params.b_abs]
-    target = _all_ones_name(params.k) if r == 1 else f"each minimal polynomial of an element of order {params.k}"
+    k = ell**r
+    exponent = s - 1 + ((e - h) * s // 2 if p % 4 == 3 else 0)
+    sign = -1 if exponent % 2 else 1
+    # the signed branch value sign * ((a + b)/2)^s decides by its class mod 4
+    mod4 = {b: sign * pow((a + b) // 2, s, 4) % 4 for b in (b_abs, -b_abs)}
+    shown = {b: _power_str(sign, (a + b) // 2, s) for b in (b_abs, -b_abs)}
+    target = _all_ones_name(k) if r == 1 else f"each minimal polynomial of an element of order {k}"
     trace = (
-        f"ell={ell} r={r} e={params.e} s={params.s} h={params.h} a={params.a} b=+/-{params.b_abs}; "
-        f"value(+b)={values[params.b_abs]}={values[params.b_abs] % 4} (mod 4), "
-        f"value(-b)={values[-params.b_abs]}={values[-params.b_abs] % 4} (mod 4); divides iff 3 (mod 4)"
+        f"ell={ell} r={r} e={e} s={s} h={h} a={a} b=+/-{b_abs}; "
+        f"value(+b)={shown[b_abs]}={mod4[b_abs]} (mod 4), "
+        f"value(-b)={shown[-b_abs]}={mod4[-b_abs]} (mod 4); divides iff 3 (mod 4)"
     )
-    if agree:
-        divides = branch[params.b_abs]
+    if (mod4[b_abs] == 3) == (mod4[-b_abs] == 3):
+        divides = mod4[b_abs] == 3
     else:
         divides = None
         trace += "; sign branches disagree: indeterminate (b is known only up to sign)"
-    return Prediction(
-        p=params.p,
-        m=params.m,
-        k=params.k,
-        regime="index2",
-        target=target,
-        divides=divides,
-        params=params.to_json(),
-        condition_trace=trace,
-    )
+    params = {"ell": ell, "r": r, "k": k, "e": e, "s": s, "h": h, "a": a, "b_abs": b_abs}
+    return Prediction(p, m, k, "index2", target, divides, params, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +276,8 @@ def index2_prediction(params: Index2Params) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-def _prime_power(k: int, k_primes: tuple[int, ...]) -> tuple[int, int] | None:
-    """(ell, r) with k = ell^r, from the prime factors of k; None if k has two or more."""
-    if len(k_primes) != 1:
-        return None
-    ell, r = k_primes[0], 0
-    while k > 1:
-        k //= ell
-        r += 1
-    return ell, r
-
-
 def predict(p: int, m: int, k: int) -> Prediction:
-    """Route to the applicable closed form; raise NoClosedForm otherwise."""
+    """Route to the applicable closed form by the order of p mod k; raise NoClosedForm otherwise."""
     if k < 3 or k % 2 == 0:
         raise ValueError(f"k = {k} must be an odd integer >= 3")
     if m < 1:
@@ -363,12 +286,15 @@ def predict(p: int, m: int, k: int) -> Prediction:
     if pow(p, m, k) != 1:
         q_minus_1 = p**m - 1 if m * p.bit_length() <= 300 else f"{p}^{m} - 1"  # never print a huge p**m
         raise ValueError(f"k = {k} does not divide q - 1 = {q_minus_1}")
-    params = pure_case_params(p, m, k)  # factors k, once for both routes
-    if params.applicable:
-        return pure_prediction(params)
-    pp = _prime_power(k, params.k_primes)
-    if pp is not None:
-        ell, r = pp  # ell is prime: it came out of prime_factors
-        if ell % 8 == 7 and (ell - 1) * ell ** (r - 1) == 2 * params.order:  # index 2
-            return index2_prediction(index2_case_params(p, m, ell, r, params.order))
+    order, k_primes = order_and_primes(p, k)  # factors k, once for both routes; order | m as k | p^m - 1
+    # -1 is the only element of order 2 in the cyclic group <p>, so it is a
+    # power of p iff p^(order/2) = -1, and then t = order/2 is the least one
+    if order % 2 == 0 and pow(p, order // 2, k) == k - 1:
+        return pure(p, m, k, order // 2, m // order)
+    ell = k_primes[0]  # a prime: it came out of prime_factors
+    if len(k_primes) == 1 and ell % 8 == 7 and k - k // ell == 2 * order:  # k = ell^r, phi(k) = 2 order
+        r = 1
+        while ell**r != k:
+            r += 1
+        return index2(p, m, ell, r, order)
     raise NoClosedForm(f"no closed form in scope for (p={p}, m={m}, k={k})")

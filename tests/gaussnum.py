@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles import embed, exp_dlog
+from oracles import embed, exp_dlog, pure_ts
 from slce.cyclotomic import jacobi_K
 from slce.fields import FieldCtx
-from slce.predict import pure_case_params
 
 REL_TOL = 1e-6
 
@@ -117,7 +116,7 @@ def check_identities(ctx: FieldCtx, k: int) -> dict:
     k_embedded = embed(k_exact)
 
     rho_closed = quadratic_gauss_closed_form(ctx)
-    pure = pure_case_params(ctx.p, ctx.m, k)
+    pure = pure_ts(ctx.p, ctx.m, k)
     report = {
         "q": q,
         "k": k,
@@ -130,11 +129,11 @@ def check_identities(ctx: FieldCtx, k: int) -> dict:
         "gauss_moduli_rel_err": max(
             abs(abs(g) - q**0.5) / q**0.5 for g in (g_rho, g_chi, g_chi_rho)
         ),
-        "pure": pure.applicable,
+        "pure": pure is not None,
     }
-    if pure.applicable:
+    if pure is not None:
         # a pure G(chi) here is real: the closed form is a signed power of p
-        t, s = pure.t, pure.s
+        t, s = pure
         g_closed = (-1) ** ((s - 1 + (ctx.p**t + 1) * s // k) % 2) * ctx.p ** (ctx.m / 2)
         report["G_chi_closed_form"] = complex(g_closed)
         report["G_chi_rel_err"] = _rel_err(g_chi, complex(g_closed))

@@ -42,11 +42,14 @@ monic long division by Phi_k that `slce.cyclotomic._reduce` replaced;
 through Z[zeta_k] that `slce.cyclotomic.criterion` replaced with one
 packed array.
 
-`predict_pure`, `index2_params` and `predict_index2` run one regime of
-`slce.predict` on its own, after checking that regime's hypotheses; the
-router `predict` reaches the same builders once it has classified
-(p, m, k).  `closed_form_pure_K` and `closed_form_index2_K` give K itself
-in closed form, for comparison with the exact Jacobi sum.
+`predict_pure` and `predict_index2` call one regime function of
+`slce.predict` after checking that regime's hypotheses themselves: the
+least t with p^t = -1 (mod k) found by a scan, the order of p equal to 2t,
+the subgroup index 2 and ell = 7 mod 8.  `closed_form_prediction` is the
+oracle of the router `predict`: the prediction of whichever regime's
+hypotheses hold, or NoClosedForm.  `closed_form_pure_K` and
+`closed_form_index2_K` give K itself in closed form, for comparison with
+the exact Jacobi sum.
 
 The GF(p)[x] list arithmetic (coefficient lists, constant term first) is
 the construction `slce.fields` replaced with the companion matrix of the
@@ -93,16 +96,7 @@ from slce.fields import (
     prime_factors,
 )
 from slce.gf2poly import _divmod_int, _gcd_int, _mod_int, _sqr_int, to_str
-from slce.predict import (
-    Index2Params,
-    NoClosedForm,
-    Prediction,
-    PureCaseParams,
-    index2_case_params,
-    index2_prediction,
-    pure_case_params,
-    pure_prediction,
-)
+from slce.predict import NoClosedForm, Prediction, index2, pure
 from slce.sequences import BitSeq
 
 # ---------------------------------------------------------------------------
@@ -388,20 +382,37 @@ def subgroup_index(k: int, p: int) -> int:
     return euler_phi(k) // multiplicative_order(p, k)
 
 
-def _pure_params(p: int, m: int, k: int) -> PureCaseParams:
-    params = pure_case_params(p, m, k)
-    if not params.applicable:
-        raise NoClosedForm(f"pure case inapplicable for (p={p}, m={m}, k={k}): {params.reason}")
-    return params
+def least_t(p: int, k: int) -> int | None:
+    """The least t >= 1 with p^t = -1 (mod k), by a scan over the powers of p; None if there is none.
+
+    -1 is the unique involution of the cyclic group <p>, so the order of p
+    is then 2t; the scan checks it.
+    """
+    order = multiplicative_order(p, k)
+    t = next((t for t in range(1, order + 1) if pow(p, t, k) == k - 1), None)
+    if t is not None and order != 2 * t:
+        raise ArithmeticError(f"order {order} of {p} mod {k} is not 2t for the least t = {t} with p^t = -1")
+    return t
+
+
+def pure_ts(p: int, m: int, k: int) -> tuple[int, int] | None:
+    """(t, s) of the pure regime, m = 2ts; None when no power of p is -1 mod k or 2t does not divide m."""
+    t = least_t(p, k)
+    if t is None or m % (2 * t) != 0:
+        return None
+    return t, m // (2 * t)
 
 
 def predict_pure(p: int, m: int, k: int) -> Prediction:
     """The pure-regime verdict; NoClosedForm when no power of p is -1 mod k or 2t does not divide m."""
-    return pure_prediction(_pure_params(p, m, k))
+    ts = pure_ts(p, m, k)
+    if ts is None:
+        raise NoClosedForm(f"pure case inapplicable for (p={p}, m={m}, k={k})")
+    return pure(p, m, k, *ts)
 
 
-def index2_params(p: int, m: int, ell: int, r: int) -> Index2Params:
-    """Validate the index-2 hypotheses and assemble all derived quantities."""
+def predict_index2(p: int, m: int, ell: int, r: int) -> Prediction:
+    """The index-2 verdict at k = ell^r, after checking the index-2 hypotheses."""
     if not is_prime(ell) or ell % 8 != 7:
         raise NoClosedForm(f"ell = {ell} is not a prime congruent to 7 mod 8")
     if r < 1:
@@ -409,23 +420,33 @@ def index2_params(p: int, m: int, ell: int, r: int) -> Index2Params:
     k = ell**r
     if intgcd(p, k) != 1:
         raise NoClosedForm(f"p = {p} divides k = {k}")
-    pure = pure_case_params(p, m, k)
-    idx = euler_phi(k) // pure.order
+    e = multiplicative_order(p, k)
+    idx = euler_phi(k) // e
     if idx != 2:
         raise NoClosedForm(f"subgroup index of p mod k is {idx}, need 2")
-    if pure.t is not None:
+    if least_t(p, k) is not None:
         raise NoClosedForm(f"some power of p is -1 mod {k}: pure regime applies, not index 2")
-    return index2_case_params(p, m, ell, r, pure.order)
+    return index2(p, m, ell, r, e)
 
 
-def predict_index2(p: int, m: int, ell: int, r: int) -> Prediction:
-    return index2_prediction(index2_params(p, m, ell, r))
+def closed_form_prediction(p: int, m: int, k: int) -> Prediction:
+    """The prediction of the regime whose hypotheses hold for (p, m, k); NoClosedForm when none do."""
+    ts = pure_ts(p, m, k)
+    if ts is not None:
+        return pure(p, m, k, *ts)
+    primes = prime_factors(k)
+    if len(primes) != 1:
+        raise NoClosedForm(f"k = {k} is not a prime power")
+    ell, r = primes[0], 1
+    while ell**r != k:
+        r += 1
+    return predict_index2(p, m, ell, r)
 
 
 def closed_form_pure_K(p: int, m: int, k: int) -> int:
     """The rational integer K in the pure regime: a signed power of p."""
-    params = _pure_params(p, m, k)
-    t, s = params.t, params.s
+    params = predict_pure(p, m, k).params
+    t, s = params["t"], params["s"]
     quotient = (p**t + 1) * s // (2 * k)  # integral: k odd and k | p^t + 1
     if p % 4 == 1:
         sign = (-1) ** ((1 + quotient) % 2)
@@ -434,27 +455,29 @@ def closed_form_pure_K(p: int, m: int, k: int) -> int:
     return sign * p ** (m // 2)
 
 
-def closed_form_index2_K(params: Index2Params, b_sign: int) -> CycInt:
+def closed_form_index2_K(pred: Prediction, b_sign: int) -> CycInt:
     """Exact K for one sign of b, as an element of Z[zeta_ell] (r = 1 only).
 
     K = (-1)^(s-1) p^((e-h)s/2) ((a + b sqrt(-ell))/2)^s, with sqrt(-ell)
-    realized as the quadratic Gauss sum inside the cyclotomic field.
+    realized as the quadratic Gauss sum inside the cyclotomic field; pred
+    is an index-2 prediction.
     """
-    if params.r != 1:
+    params = pred.params
+    if params["r"] != 1:
         raise ValueError("exact cyclotomic embedding implemented for r = 1 only")
-    ell = params.ell
+    ell = params["ell"]
     counts = [0] * ell
     for j in range(1, ell):
         counts[j] = 1 if pow(j, (ell - 1) // 2, ell) == 1 else -1
     root = CycInt.from_exponent_counts(ell, counts)  # sqrt(-ell)
-    b = b_sign * params.b_abs
-    num = cyc_add(from_integer(ell, params.a), CycInt(ell, tuple(b * c for c in root.coeffs)))
+    b = b_sign * params["b_abs"]
+    num = cyc_add(from_integer(ell, params["a"]), CycInt(ell, tuple(b * c for c in root.coeffs)))
     if any(c % 2 for c in num.coeffs):
         raise ArithmeticError("(a + b sqrt(-ell))/2 is not integral in the power basis")
     base = CycInt(ell, tuple(c // 2 for c in num.coeffs))
-    sign = (-1) ** ((params.s - 1) % 2)
-    out = from_integer(ell, sign * params.p ** ((params.e - params.h) * params.s // 2))
-    for _ in range(params.s):
+    sign = (-1) ** ((params["s"] - 1) % 2)
+    out = from_integer(ell, sign * pred.p ** ((params["e"] - params["h"]) * params["s"] // 2))
+    for _ in range(params["s"]):
         out = cyc_mul(out, base)
     return out
 

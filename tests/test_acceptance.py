@@ -35,13 +35,13 @@ from oracles import (
     poly_from_seq,
     predict_index2,
     predict_pure,
+    pure_ts,
     recombine,
 )
 from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import criterion, ideal_factors, jacobi_K
 from slce.fields import is_prime
 from slce.gf2poly import factored_str, gcd_factors, to_str
-from slce.predict import pure_case_params
 from slce.sequences import autocorrelation_profile
 
 GCD_REFERENCE = json.load(open("fixtures/gcd_reference.json"))["cases"]
@@ -206,7 +206,7 @@ def test_acceptance_5_pure_evaluations():
         for k in range(3, q - 1, 2):
             if (q - 1) % k != 0:
                 continue
-            if not pure_case_params(p, m, k).applicable:
+            if pure_ts(p, m, k) is None:
                 continue
             ctx, _, _ = field_bundle(p, m)
             assert as_integer(jacobi_K(ctx, k)) == closed_form_pure_K(p, m, k), (p, m, k)
@@ -246,7 +246,7 @@ def test_acceptance_7_predictors_match_direct():
             continue
         prepared = None
         for k in range(3, q - 1, 2):
-            if (q - 1) % k != 0 or not pure_case_params(p, m, k).applicable:
+            if (q - 1) % k != 0 or pure_ts(p, m, k) is None:
                 continue
             if prepared is None:
                 prepared = field_bundle(p, m)

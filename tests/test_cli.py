@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import io
 import json
 import multiprocessing
@@ -191,6 +192,80 @@ def test_predict_index2_large_class_number_is_fast():
     assert rc == 0
     params = json.loads(out)["params"]
     assert 4 * 229**7 == params["a"] ** 2 + 71 * params["b_abs"] ** 2
+
+
+def _index2_branch_mod4(p, params, b_sign, s):
+    # oracle: the signed branch value (-1)^(s-1) p^((e-h)s/2) ((a + b)/2)^s,
+    # up to squares, formed in full and then reduced mod 4
+    exponent = params["s"] - 1 + ((params["e"] - params["h"]) * params["s"] // 2 if p % 4 == 3 else 0)
+    base = (params["a"] + b_sign * params["b_abs"]) // 2
+    return (-1) ** (exponent % 2) * base**s % 4
+
+
+@pytest.mark.parametrize("m", [35000, 350000000])
+def test_predict_index2_at_large_s_is_fast_and_exact(m):
+    # s = m/35 = 10^3 and 10^7: each branch value has over 4300 digits, so
+    # it is reduced mod 4 by a modular power and printed as a power
+    t0 = time.perf_counter()
+    rc, out = run(["predict", "-p", "229", "-m", str(m), "-k", "71", "--json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    blob = json.loads(out)
+    params = blob["params"]
+    s = params["s"]
+    assert s == m // 35
+    # base^s mod 4 depends on the parity of s alone once s >= 2, so the
+    # oracle forms the full power at s = 1000 and at 2 + s % 2 beyond
+    s_formed = s if s <= 1000 else 2 + s % 2
+    branch = {b_sign: _index2_branch_mod4(229, params, b_sign, s_formed) for b_sign in (1, -1)}
+    want = branch[1] == 3 if (branch[1] == 3) == (branch[-1] == 3) else "indeterminate"
+    assert blob["divides"] == want
+    for b_sign, label in ((1, "+b"), (-1, "-b")):  # p = 1 mod 4 and s even: the sign is (-1)^(s-1) = -1
+        base = (params["a"] + b_sign * params["b_abs"]) // 2
+        assert f"value({label})=-({base})^{s}={branch[b_sign]} (mod 4)" in blob["condition_trace"]
+
+
+def test_predict_index2_trace_prints_values_up_to_4300_digits_in_full():
+    # s = 100 (the values have about 800 digits): the trace of the formula
+    # with each branch value formed and printed in full
+    rc, out = run(["predict", "-p", "229", "-m", "3500", "-k", "71", "--json"])
+    assert rc == 0
+    blob = json.loads(out)
+    params = blob["params"]
+    a, b_abs = params["a"], params["b_abs"]
+    values = {b: -(((a + b) // 2) ** 100) for b in (b_abs, -b_abs)}  # (-1)^(s-1) = -1, p = 1 mod 4
+    want = (
+        f"ell=71 r=1 e=35 s=100 h=7 a={a} b=+/-{b_abs}; "
+        f"value(+b)={values[b_abs]}={values[b_abs] % 4} (mod 4), "
+        f"value(-b)={values[-b_abs]}={values[-b_abs] % 4} (mod 4); divides iff 3 (mod 4)"
+    )
+    assert blob["condition_trace"] == want
+    assert blob["divides"] is (values[b_abs] % 4 == 3)
+    assert values[b_abs] % 4 == values[-b_abs] % 4
+
+
+def test_predict_index2_trace_switches_to_a_power_past_4300_digits():
+    # at ell = 23, p = 13 the branch base 43 has 4300 digits in its 2632nd
+    # power and 4301 in its 2633rd
+    for s, full in ((2632, True), (2633, False)):
+        rc, out = run(["predict", "-p", "13", "-m", str(11 * s), "-k", "23", "--json"])
+        assert rc == 0
+        trace = json.loads(out)["condition_trace"]
+        value = (-1) ** (s - 1) * 43**s
+        assert (abs(value) < 10**4300) is full and abs(value) >= 10**4299
+        shown = str(value) if full else f"{'-' if s % 2 == 0 else ''}(43)^{s}"
+        assert f"value(+b)={shown}={value % 4} (mod 4)" in trace
+
+
+def test_every_recorded_benchmark_report_is_reproduced():
+    # perfbench/expected.json holds the sha256 of every report the benchmark
+    # can request: grid --q-max 3000, two gcd fields and 61 predict cases
+    expected = json.loads(Path("perfbench/expected.json").read_text())
+    assert len(expected) == 64
+    for argv, digest in expected.items():
+        rc, out = run(argv.split())
+        assert rc == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_jacobi_fixture():

@@ -1,26 +1,30 @@
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
+from slce.cli import _odd_prime_powers_upto
 from slce.cyclotomic import jacobi_K
-from slce.fields import build_field, is_prime
+from slce.fields import build_field, divisors, is_prime
 from oracles import (
     all_ones_poly,
     as_integer,
     closed_form_index2_K,
+    closed_form_prediction,
     closed_form_pure_K,
     cyc_conj,
     divides,
-    index2_params,
+    least_t,
     minimal_polys_of_order,
     poly_from_seq,
     predict_index2,
     predict_pure,
+    pure_ts,
     subgroup_index,
 )
-from slce.predict import Index2Params, NoClosedForm, class_number, predict, pure_case_params, represent
+from slce.predict import NoClosedForm, class_number, predict, represent
 from slce.sequences import generate
 
 
@@ -33,12 +37,12 @@ def test_subgroup_index_fixtures():
 
 
 def test_pure_case_params_fixtures():
-    pp = pure_case_params(19, 2, 5)
-    assert (pp.t, pp.s, pp.applicable) == (1, 1, True)
-    pp = pure_case_params(3, 4, 5)
-    assert (pp.t, pp.s, pp.applicable) == (2, 1, True)
-    pp = pure_case_params(13, 11, 23)
-    assert pp.t is None and not pp.applicable
+    for p, m, k, t, s in [(19, 2, 5, 1, 1), (3, 4, 5, 2, 1)]:
+        assert pure_ts(p, m, k) == (t, s)
+        pred = predict(p, m, k)
+        assert pred.regime == "pure" and pred.params == {"t": t, "s": s}
+    assert least_t(13, 23) is None and pure_ts(13, 11, 23) is None
+    assert predict(13, 11, 23).regime != "pure"
 
 
 @pytest.mark.parametrize("k", [5, 7, 9, 11, 13, 15, 23])
@@ -51,13 +55,19 @@ def test_pure_params_structure(p, k):
     from slce.fields import multiplicative_order
 
     order = multiplicative_order(p, k)
-    pp = pure_case_params(p, 2 * order, k)
+    t = least_t(p, k)
     has_minus_one = any(pow(p, x, k) == k - 1 for x in range(1, order + 1))
-    assert (pp.t is not None) == has_minus_one
-    if pp.t is not None:
-        assert pow(p, pp.t, k) == k - 1
-        assert all(pow(p, x, k) != k - 1 for x in range(1, pp.t))
-        assert order == 2 * pp.t  # -1 is the unique involution of <p>
+    assert (t is not None) == has_minus_one
+    try:
+        routed = predict(p, 2 * order, k)
+    except NoClosedForm:
+        routed = None
+    assert (routed is not None and routed.regime == "pure") == has_minus_one
+    if t is not None:
+        assert pow(p, t, k) == k - 1
+        assert all(pow(p, x, k) != k - 1 for x in range(1, t))
+        assert order == 2 * t  # -1 is the unique involution of <p>
+        assert routed.params == {"t": t, "s": 2}  # m = 2 order = 4t
 
 
 def test_predict_pure_fixtures():
@@ -328,20 +338,20 @@ def test_index2_indeterminate_brackets_per_factor_truth(p, m, ell):
     ],
 )
 def test_closed_form_index2_K_matches_exact_jacobi(p, m, ell, eps, b_sign):
-    params = index2_params(p, m, ell, 1)
-    want = closed_form_index2_K(params, b_sign)
+    pred = predict_index2(p, m, ell, 1)
+    want = closed_form_index2_K(pred, b_sign)
     ctx = build_field(p, m)
     assert jacobi_K(ctx, ell) == want
     # and the opposite sign is the conjugate value
-    assert cyc_conj(want) == closed_form_index2_K(params, -b_sign)
+    assert cyc_conj(want) == closed_form_index2_K(pred, -b_sign)
 
 
 def test_closed_form_index2_K_s2_case():
     # s = 2 instance: K = -(p^2) * ((a + b sqrt(-7))/2)^2 for one b sign
-    params = index2_params(11, 6, 7, 1)
+    pred = predict_index2(11, 6, 7, 1)
     ctx = build_field(11, 6)
     exact = jacobi_K(ctx, 7)
-    assert exact in (closed_form_index2_K(params, 1), closed_form_index2_K(params, -1))
+    assert exact in (closed_form_index2_K(pred, 1), closed_form_index2_K(pred, -1))
 
 
 def test_predict_router():
@@ -375,7 +385,27 @@ def test_predict_factors_k_once_on_the_index2_route(monkeypatch):
 
 
 def test_index2_params_validation():
-    params = index2_params(13, 11, 23, 1)
-    assert isinstance(params, Index2Params)
-    assert params.k == 23 and params.e == 11
-    assert 4 * 13**3 == params.a**2 + 23 * params.b_abs**2
+    params = predict_index2(13, 11, 23, 1).params
+    assert list(params) == ["ell", "r", "k", "e", "s", "h", "a", "b_abs"]
+    assert params["k"] == 23 and params["e"] == 11
+    assert 4 * 13**3 == params["a"] ** 2 + 23 * params["b_abs"] ** 2
+
+
+def test_predict_equals_the_applicable_oracle_on_every_row_up_to_20000():
+    # the router against the oracles' own hypothesis checks, NoClosedForm
+    # exactly where neither regime's hypotheses hold
+    regimes = Counter()
+    for q, p, m in _odd_prime_powers_upto(20000):
+        for k in divisors(q - 1):
+            if k < 3 or k % 2 == 0:
+                continue
+            try:
+                want = closed_form_prediction(p, m, k)
+            except NoClosedForm:
+                with pytest.raises(NoClosedForm):
+                    predict(p, m, k)
+                regimes["none"] += 1
+                continue
+            assert predict(p, m, k) == want, (p, m, k)
+            regimes[want.regime] += 1
+    assert regimes == {"pure": 75, "index2": 2, "none": 11388}
