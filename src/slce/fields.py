@@ -17,7 +17,8 @@ because m (p - 1)^2 + p < 2^53 for every field up to FIELD_SIZE_BOUND.
 Their logs, kept only while the context is built, give the Zech table
 through -1 = alpha^((q-1)/2): 1 - alpha^t = -(alpha^t - 1), and alpha^t - 1
 differs from alpha^t in the constant coordinate only.  Intended scale is q
-up to FIELD_SIZE_BOUND; a context keeps one int64 array of length q - 1.
+up to FIELD_SIZE_BOUND; a context keeps one int32 array of length q - 1,
+4 bytes per element.
 """
 
 from __future__ import annotations
@@ -330,7 +331,8 @@ class FieldCtx:
         in the constant coordinate c0.  Its code is that of alpha^t minus 1,
         or plus p - 1 when c0 = 0; then zech[t] = dlog[that code] + n/2 mod
         n, and zech[0] = -1.  A constant c has the code c mod p, so log4 is
-        dlog[4 mod p].
+        dlog[4 mod p].  Both tables are int32: a code is below q + p and a
+        log plus n/2 below 3n/2, under 2^31 for every q up to FIELD_SIZE_BOUND.
         """
         p, m, q = self.p, self.m, self.q
         n = q - 1
@@ -346,8 +348,8 @@ class FieldCtx:
             step = _reduce_mod(step @ step, p)
 
         pow_p = p ** np.arange(m, dtype=np.float64)
-        zech = np.empty(n, dtype=np.int64)  # the code of alpha^t - 1 until dlog is known
-        dlog = np.full(q, -1, dtype=np.int64)
+        zech = np.empty(n, dtype=np.int32)  # the code of alpha^t - 1 until dlog is known
+        dlog = np.full(q, -1, dtype=np.int32)
         codes = np.empty(block)
         next_X = np.empty_like(X)
         scratch = np.empty_like(X)
@@ -356,7 +358,7 @@ class FieldCtx:
         while start < n:
             width = min(block, n - start)
             np.matmul(pow_p, X, out=codes)
-            dlog[codes[:width].astype(np.int64)] = np.arange(start, start + width)
+            dlog[codes[:width].astype(np.int64)] = np.arange(start, start + width, dtype=np.int32)
             codes += p * (X[0] == 0) - 1
             zech[start : start + width] = codes[:width]
             start += width

@@ -24,11 +24,15 @@ an SLCE sequence, and for the parity of (K + 1)/2, p is the
 characteristic; 1 suits any r).  From one size threshold on phi(d), a
 certificate may settle G_d = 1 by doubling, with O(log t') float-FFT
 products, t' the number of <2, p>-orbits of (Z/d)*; for t' = 1 it needs no
-product, as G_d = 1 iff r != 0 (`_multiplier_certificate`).  Euclid runs
-whenever the certificate does not show G_d = 1.  The factors of G_d are
-those of Phi_d that divide it; Phi_d is split once, by sums of x^j over
-2-cyclotomic cosets (`ideal_factors`, cached, the criterion's prime ideals
-above 2 too); the power 2^e enters only through each factor's multiplicity.
+product, as G_d = 1 iff r != 0 (`_multiplier_certificate`).  For the
+sequence the certificate also tries -1, by the reciprocal law
+S2(x^-1) = S2(x) + [q = 3 mod 4] mod Phi_d: at q = 1 mod 4, -1 joins
+<2, p> and may halve t'; at q = 3 mod 4 with -1 in <2, p>, G_d = 1 with
+no product.  Euclid runs whenever the certificate does not show G_d = 1.
+The factors of G_d are those of Phi_d that divide it; Phi_d is split once,
+by sums of x^j over 2-cyclotomic cosets (`ideal_factors`, cached, the
+criterion's prime ideals above 2 too); the power 2^e enters only through
+each factor's multiplicity.
 
 Degree of the zero polynomial is the sentinel -1; nonzero polynomials over
 GF(2) are automatically monic.
@@ -234,9 +238,12 @@ def ideal_factors(n: int) -> tuple[int, ...]:
 # j by a unit permutes the orbits, so N = prod r(x^a), over one a per orbit,
 # vanishes at every root of Phi_d or at none: gcd(Phi_d, r) = 1 exactly when
 # N mod Phi_d != 0.  N is formed by doubling, over subgroups H >= <2, p>
-# grown one cyclic step at a time.  Each r(x^c) is an index gather and each
-# product one float FFT of 0/1 arrays, whose exact coefficients are at most
-# d (below 2^21 for every field the CLI builds, far inside float64's 2^53).
+# grown one cyclic step at a time.  A unit a with r(x^a) = r(x) + 1 instead
+# maps the zeros to roots where r is 1, so if a lies in H there is no zero;
+# the SLCE sequence polynomial has a = -1 either way, from K conj(K) = q.
+# Each r(x^c) is an index gather and each product one float FFT of 0/1
+# arrays, whose exact coefficients are at most d (below 2^21 for every
+# field the CLI builds, far inside float64's 2^53).
 # ---------------------------------------------------------------------------
 
 
@@ -309,23 +316,30 @@ def _power_product(f: np.ndarray, powers: np.ndarray, d: int) -> np.ndarray | No
     return product
 
 
-def _multiplier_certificate(r: int, d: int, p: int) -> bool | None:
+def _multiplier_certificate(r: int, d: int, p: int, *tried: int) -> bool | None:
     """Whether gcd(Phi_d, r) = 1, r of degree < d, from the multiplier p, prime to d > 1.
 
-    None when it cannot tell: r(x^p) != r(x) mod Phi_d, or a float
-    product is not near integers.
+    Each further a in `tried` (`gcd_factors` tries -1) joins H when
+    r(x^a) = r(x) mod Phi_d.  When r(x^a) = r(x) + 1 and a lies in H, the
+    gcd is 1 with no product: a zero beta would have r(beta^a) = 0, as the
+    zeros are a union of orbits, and r(beta^a) = 1.  None when it cannot
+    tell: r(x^p) != r(x) mod Phi_d, or a float product is not near integers.
     """
     coeffs = _coefficients(r, d)
     index = np.arange(d, dtype=np.int64)
-    # the gather is r(x^(1/p)) mod x^d + 1, equal to r mod Phi_d exactly when r(x^p) is
-    if _mod_cyclotomic(_from_coefficients(coeffs[index * (p % d) % d]), d) != _mod_cyclotomic(r, d):
+    reduced = _mod_cyclotomic(r, d)
+    # the gather is r(x^(1/a)) mod x^d + 1, equal to r mod Phi_d exactly when r(x^a) is
+    images = {a: _mod_cyclotomic(_from_coefficients(coeffs[index * (a % d) % d]), d) for a in (p, *tried)}
+    if images[p] != reduced:
         return None
     units = np.ones(d, dtype=bool)
     for ell in prime_factors(d):
         units[::ell] = False
     members = index == 1
-    for a in (2, p % d):  # H = <2, p>: its cosets are the orbits
-        _adjoin(members, a, d)
+    for a in (2, p, *(a for a in tried if images[a] == reduced)):  # H: its cosets are the orbits
+        _adjoin(members, a % d, d)
+    if any(images[a] == reduced ^ 1 and members[a % d] for a in tried):
+        return True
     product = coeffs  # over one a per orbit in H, then in <H, a> for the least unit a outside H
     while product is not None and (outside := units & ~members).any():
         product = _power_product(product, _adjoin(members, int(np.argmax(outside)), d), d)
@@ -339,15 +353,16 @@ def _multiplier_certificate(r: int, d: int, p: int) -> bool | None:
 _CERTIFICATE_DEGREE = 10_000
 
 
-def gcd_cyclotomic(d: int, r: int, multiplier: int) -> int:
+def gcd_cyclotomic(d: int, r: int, multiplier: int, *tried: int) -> int:
     """gcd(Phi_d mod 2, r) for r reduced mod Phi_d and a multiplier p of r: r(x^p) = r(x) mod Phi_d.
 
-    For r != 0, p prime to d and phi(d) >= _CERTIFICATE_DEGREE, the multiplier certificate
-    may show that the gcd is 1; Euclid decides the rest.  Every r has the multiplier 1.
+    For r != 0, p prime to d and phi(d) >= _CERTIFICATE_DEGREE, the multiplier certificate,
+    which also tries each unit in `tried`, may show that the gcd is 1; Euclid decides the
+    rest.  Every r has the multiplier 1.
     """
     phi_d = cyclotomic_mod2(d)
     big = phi_d.bit_length() - 1 >= _CERTIFICATE_DEGREE
-    if r and big and math.gcd(multiplier, d) == 1 and _multiplier_certificate(r, d, multiplier):
+    if r and big and math.gcd(multiplier, d) == 1 and _multiplier_certificate(r, d, multiplier, *tried):
         return 1
     return _gcd_int(phi_d, r)
 
@@ -367,14 +382,17 @@ def gcd_factors(v: int, s: int, multiplier: int) -> list[tuple[int, int]]:
     binomial.  s = 0 gives the factorization of x^v + 1.
 
     The multiplier p has s(x^p) = s(x) mod x^v + 1 (the SLCE support set is
-    fixed by t -> p t; 1 suits any s), so each s mod Phi_d has it too.
+    fixed by t -> p t; 1 suits any s), so each s mod Phi_d has it too.  The
+    certificate also tries -1: for an SLCE sequence, s(x^-1) = s(x) +
+    [q = 3 mod 4] mod Phi_d for every d > 1, from K conj(K) = q (the
+    criterion, which reads K itself, keeps p alone).
     """
     e = (v & -v).bit_length() - 1
     w = v >> e
     f = _fold(s, w)
     found = []
     for d in divisors(w):
-        g = gcd_cyclotomic(d, _mod_cyclotomic(f, d), multiplier)
+        g = gcd_cyclotomic(d, _mod_cyclotomic(f, d), multiplier, -1)
         if g == 1:
             continue
         folded = _fold(s, d << e)

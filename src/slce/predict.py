@@ -19,8 +19,9 @@ regime is one function of the numbers its hypotheses fix:
   of b varies with the character and is never resolved here; when the two
   sign branches disagree the prediction is reported as indeterminate.
   Each branch's class mod 4 comes from a modular power; the trace prints
-  the branch value in full while it has at most 4300 decimal digits, and
-  beyond that as the signed power of its base.
+  the branch value in full while it has at most 4300 decimal digits (or
+  fewer, where Python's integer-printing limit is set lower), and beyond
+  that as the signed power of its base.
 
 The index-2 prefactor (-1)^(s-1) is pinned by exact Jacobi-sum
 computations at q = 37^3, 53^3, 109^3, 137^3, 11^3, 23^3, 11^6 and 3^11
@@ -36,6 +37,7 @@ algorithm in O(log p^h) steps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,14 +219,17 @@ _TRACE_DIGITS = 4300  # a branch value with more decimal digits is printed as a 
 
 
 def _power_str(sign: int, base: int, s: int) -> str:
-    """sign * base^s in decimal while it has at most _TRACE_DIGITS digits, else as that power.
+    """sign * base^s in decimal while it has at most `digits` digits, else as that power.
 
+    `digits` is _TRACE_DIGITS, Python's default integer-printing limit, or
+    that limit where it is set lower (0 means no limit, as in `cmd_verify`).
     |base|^s >= 2^(s (bitlength(base) - 1)), so the power is formed only
-    when that bound leaves it below 10^_TRACE_DIGITS.
+    when that bound leaves it below 10^digits.
     """
-    if s * (abs(base).bit_length() - 1) < _TRACE_DIGITS * math.log2(10):
+    digits = min(_TRACE_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or _TRACE_DIGITS)
+    if s * (abs(base).bit_length() - 1) < digits * math.log2(10):
         value = sign * base**s
-        if abs(value) < 10**_TRACE_DIGITS:
+        if abs(value) < 10**digits:
             return str(value)
     return f"{'-' if sign < 0 else ''}({base})^{s}"
 

@@ -13,13 +13,13 @@ the cyclotomic-coset idempotents.
 
 `gcd_by_divmod` is textbook Euclid on `_divmod_int` alone, the oracle of
 `_gcd_int` and of the factored gcd with x^v + 1.  `multiplier_group` finds
-<2, p> in (Z/d)* by search, the oracle of the group the multiplier
-certificate builds by cyclic steps (`gf2poly._adjoin`).  `divides` tests g | s by
-one remainder against the whole of s; the CLI reads the same answer off
-the factors of gcd(x^v + 1, s).  `linear_complexity` (one Euclid with all
-of x^v + 1, `poly_from_seq` the sequence polynomial) and Berlekamp-Massey
-give the linear complexity two ways, from the gcd and from the shortest
-register.
+<2, p> (or <2, p, -1>) in (Z/d)* by search, the oracle of the group the
+multiplier certificate builds by cyclic steps (`gf2poly._adjoin`).
+`divides` tests g | s by one remainder against the whole of s; the CLI
+reads the same answer off the factors of gcd(x^v + 1, s).
+`linear_complexity` (one Euclid with all of x^v + 1, `poly_from_seq` the
+sequence polynomial) and Berlekamp-Massey give the linear complexity two
+ways, from the gcd and from the shortest register.
 
 `tables_by_int64` builds the exp, dlog and Zech tables with int64 giant
 steps and a second coordinate pass for 1 - alpha^t, the oracle of
@@ -138,12 +138,15 @@ def gcd_by_divmod(a: int, b: int) -> int:
     return a
 
 
-def multiplier_group(d: int, p: int) -> set[int]:
-    """The subgroup <2, p> of (Z/d)*, d odd and p prime to d, by search from 1 under j -> 2j and j -> pj."""
+def multiplier_group(d: int, p: int, *more: int) -> set[int]:
+    """The subgroup <2, p, *more> of (Z/d)*, d odd and each generator prime to d.
+
+    By search from 1 under j -> 2j, j -> pj and j -> aj for each a in more.
+    """
     group, frontier = {1}, [1]
     while frontier:
         a = frontier.pop()
-        for b in (2 * a % d, p * a % d):
+        for b in (g * a % d for g in (2, p, *more)):
             if b not in group:
                 group.add(b)
                 frontier.append(b)

@@ -164,8 +164,8 @@ def test_gcd_at_7_7_decides_its_two_largest_d_by_the_certificate(monkeypatch):
     verdicts = {}
     certificate = slce.gf2poly._multiplier_certificate
 
-    def record(r, d, p):
-        verdicts[d] = certificate(r, d, p)
+    def record(r, d, *multipliers):
+        verdicts[d] = certificate(r, d, *multipliers)
         return verdicts[d]
 
     monkeypatch.setattr(slce.gf2poly, "_multiplier_certificate", record)
@@ -451,6 +451,31 @@ def test_grid_refuses_a_huge_q_max_without_listing_the_fields(monkeypatch, capsy
     assert time.perf_counter() - t0 < 1.0
     assert (rc, out) == (2, "")
     assert capsys.readouterr().err.startswith("error: grid reaches q = 20011 above the direct bound 20000;")
+
+
+@pytest.mark.parametrize("q_max", [slce.cli.GRID_BOUND + 1, 10**12])
+def test_grid_predict_only_refuses_a_q_max_above_its_bound_at_once(monkeypatch, capsys, q_max):
+    # listing the fields alone would take about 0.7 s per 10^6 (days at 10^12)
+    monkeypatch.setattr(slce.cli, "_odd_prime_powers_upto", _refuse)
+    t0 = time.perf_counter()
+    rc, out = run(["grid", "--q-max", str(q_max), "--predict-only"])
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == f"error: --q-max {q_max} exceeds the grid bound 1000000\n"
+
+
+def test_predict_index2_trace_follows_a_lower_int_printing_limit():
+    # as under PYTHONINTMAXSTRDIGITS=640: the branch values of about 800 digits print as powers
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer-printing limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, out = run(["predict", "-p", "229", "-m", "3500", "-k", "71"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == 0
+    assert "value(+b)=-(-97770973)^100=3 (mod 4), value(-b)=-(-131263633)^100=3 (mod 4)" in out
 
 
 # grid runs its fields on one forked worker per CPU in os.sched_getaffinity(0); one CPU runs them in-process

@@ -409,6 +409,22 @@ def test_parity_of_half_K_plus_one_has_the_multiplier_p_on_every_row_to_3000():
     assert uniform == 16
 
 
+def test_criterion_takes_the_multiplier_p_alone(monkeypatch):
+    # the gcd with x^v + 1 also tries -1, a property of the sequence (K conj(K) = q); the
+    # criterion reads K and must not lean on it, so it hands gcd_cyclotomic p and nothing else
+    calls = []
+    shared = cyclotomic.gcd_cyclotomic
+    monkeypatch.setattr(cyclotomic, "gcd_cyclotomic", lambda *args: calls.append(args) or shared(*args))
+    for q, p, m in _odd_prime_powers_upto(300):
+        ctx = build_field(p, m)
+        for k in divisors(q - 1):
+            if k % 2 == 0 or k < 3:
+                continue
+            calls.clear()
+            criterion(ctx, k)
+            assert [(args[0], args[2], len(args)) for args in calls] == [(k, p, 3)], (q, k)
+
+
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (31, 1), (3, 4), (11, 2)])
 def test_criterion_matches_direct_divisibility(p, m):
     ctx = build_field(p, m)

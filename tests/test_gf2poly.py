@@ -219,6 +219,52 @@ def _check_certificate(d, r, p):
     return cyclotomic_mod2(d).bit_length() - 1 == len(multiplier_group(d, p)), verdict
 
 
+def _reciprocal_int(r, d):
+    """r(x^-1) mod x^d + 1 for r of degree < d: coefficient j moves to -j mod d."""
+    bits = format(r, f"0{d}b")[::-1]  # bits[j] is the coefficient of x^j
+    return int((bits[0] + bits[:0:-1])[::-1], 2)
+
+
+def _certificate_branch(d, r, p, q, orbit_steps):
+    """The certificate with -1 tried agrees with Euclid on Phi_d; returns (branch, <2, p> has several orbits).
+
+    The branch is read off r(x^-1) mod Phi_d, which for an SLCE sequence is
+    r + [q = 3 mod 4] (the reciprocal law, checked here): -1 is adjoined to H
+    when it is r, the q = 3 rule fires when it is r + 1 and -1 lies in <2, p>,
+    and neither otherwise.  The orbits the certificate multiplies over, the
+    product of its cyclic steps' sizes in `orbit_steps`, are those the branch
+    leaves: none after the rule, else phi(d) / |H|.
+    """
+    phi_d = _cyclotomic_plan(d)[0]
+    reduced = _mod_int(r, phi_d)
+    reciprocal = _mod_int(_reciprocal_int(r, d), phi_d)
+    assert reciprocal == reduced ^ (q % 4 == 3), (q, d)
+    group = multiplier_group(d, p)
+    several = (phi_d.bit_length() - 1) // len(group) > 1
+    if reciprocal == reduced:
+        branch, group = "adjoined", multiplier_group(d, p, -1)
+    else:
+        branch = "rule" if d - 1 in group else "neither"
+    orbit_steps.clear()
+    assert _multiplier_certificate(r, d, p, -1) == (_gcd_int(phi_d, r) == 1), (q, d)
+    orbits = 1 if branch == "rule" else (phi_d.bit_length() - 1) // len(group)
+    assert math.prod(orbit_steps) == orbits, (q, d, branch)
+    return branch, several
+
+
+def _count_orbit_steps(monkeypatch):
+    """The sizes of the certificate's cyclic steps, one entry per `_power_product`, as they run."""
+    steps = []
+    power_product = gf2poly._power_product
+
+    def counted(f, powers, d):
+        steps.append(powers.size)
+        return power_product(f, powers, d)
+
+    monkeypatch.setattr(gf2poly, "_power_product", counted)
+    return steps
+
+
 def _factors_by_euclid(v, s, monkeypatch):
     """gcd_factors with the certificate switched off, so that Euclid finds every G_d."""
     with monkeypatch.context() as patch:
@@ -226,23 +272,52 @@ def _factors_by_euclid(v, s, monkeypatch):
         return gcd_factors(v, s, 1)
 
 
-def test_multiplier_certificate_matches_euclid_on_every_field_to_3000():
-    outcomes = set()
+def test_multiplier_certificate_matches_euclid_on_every_field_to_3000(monkeypatch):
+    outcomes, branches = set(), set()
+    orbit_steps = _count_orbit_steps(monkeypatch)
+    pairs = 0
     for q, p, m in _odd_prime_powers_upto(3000):
         for d, r, p in _certificate_cases(p, m):
             outcomes.add(_check_certificate(d, r, p))
+            branches.add(_certificate_branch(d, r, p, q, orbit_steps))
+            pairs += 1
+    assert pairs == 1664
     # one orbit and several, each with G_d = 1 and G_d != 1
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    # with -1 tried, each branch is taken where <2, p> alone has several orbits
+    assert {("adjoined", True), ("rule", True), ("neither", True)} <= branches
 
 
 @pytest.mark.parametrize(
     "p,m,outcomes",
-    [(13, 5, {(True, True), (False, True)}), (17, 5, {(True, True)})],  # 13^5 has two orbits at d = 92,823
+    # 13^5 has two orbits of <2, 13> at d = 92,823, and one of <2, 13, -1>, which gcd_factors uses
+    [(13, 5, {(True, True), (False, True)}), (17, 5, {(True, True)})],
 )
 def test_multiplier_certificate_matches_euclid_at_long_periods(monkeypatch, p, m, outcomes):
     assert {_check_certificate(*case) for case in _certificate_cases(p, m)} == outcomes
     s = generate(build_field(p, m)).as_int()
     assert gcd_factors(p**m - 1, s, p) == _factors_by_euclid(p**m - 1, s, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "p,m,d,branch",
+    # q = 13^5 = 1 mod 4: -1 joins <2, 13>, 2 orbits become 1.  q = 7^7 = 3 mod 4: -1 lies in
+    # <2, 7> (52 orbits), so r(x^-1) = r + 1 leaves no zero among the roots of Phi_d
+    [(13, 5, 92823, "adjoined"), (7, 7, 137257, "rule")],
+)
+def test_reciprocal_law_decides_without_a_product(monkeypatch, p, m, d, branch):
+    _, _, s2 = field_bundle(p, m)
+    r = _fold(s2, d)
+    assert _certificate_branch(d, r, p, p**m, []) == (branch, True)
+
+    def no_product(*args):
+        raise AssertionError("the certificate formed a product")
+
+    monkeypatch.setattr(gf2poly, "_power_product", no_product)
+    assert _multiplier_certificate(r, d, p, -1) is True
+    assert gcd_cyclotomic(d, _mod_cyclotomic(r, d), p, -1) == 1
+    with pytest.raises(AssertionError, match="formed a product"):
+        _multiplier_certificate(r, d, p)  # p alone leaves several orbits
 
 
 def test_gcd_cyclotomic_takes_the_certificate_where_it_is_cheaper(monkeypatch):
@@ -339,8 +414,10 @@ def test_certificate_of_zero_and_one():
 
 
 def test_rounding_guard_falls_back_to_euclid(monkeypatch):
-    s = generate(build_field(13, 5)).as_int()
-    want = _factors_by_euclid(13**5 - 1, s, monkeypatch)
+    # at 3^11 (q = 3 mod 4), d = 88,573 has two orbits of <2, 3>, which does not hold -1,
+    # so the certificate still forms a product there
+    s = generate(build_field(3, 11)).as_int()
+    want = _factors_by_euclid(3**11 - 1, s, monkeypatch)
     calls = []
     convolve = gf2poly._convolve
 
@@ -349,10 +426,10 @@ def test_rounding_guard_falls_back_to_euclid(monkeypatch):
         return convolve(a, b, n) + 0.3
 
     monkeypatch.setattr(gf2poly, "_convolve", off_by_three_tenths)
-    d, p = 92823, 13
-    assert _multiplier_certificate(_fold(s, d), d, p) is None
+    d, p = 88573, 3
+    assert _multiplier_certificate(_fold(s, d), d, p, -1) is None
     calls.clear()
-    assert gcd_factors(13**5 - 1, s, 13) == want
+    assert gcd_factors(3**11 - 1, s, 3) == want
     assert calls  # the certificate ran, failed its guard, and Euclid decided
 
 
