@@ -11,26 +11,28 @@ the gcd with x^v + 1 reads the same split): g divides the sequence
 polynomial exactly when (K + 1)/2 lies in (2, g(zeta_k)).
 
 Phi_k is the Moebius product of the x^d - 1 over d | k, and every
-element enters the power basis through one routine, `_reduce`: with
-Psi_k = (x^k - 1)/Phi_k, the remainder mod Phi_k is (vec * Psi_k mod
+element enters the power basis through one reduction, `_reduce_wrapped`:
+with Psi_k = (x^k - 1)/Phi_k, the remainder mod Phi_k is (vec * Psi_k mod
 x^k - 1) / Psi_k, and multiplying or dividing by Psi_k is one shift or one
 strided cumulative sum per factor (x^d - 1)^(+-1).  So a reduction is
-O(2^omega(k)) array operations of length O(k), exact, in O(k) memory.  It
-runs in int64 only: the steps are exact modulo 2^64, and where an a priori
-bound does not keep the result inside int64, the same steps modulo a prime
-P < 2^31 give each coordinate by CRT.
+O(2^omega(k)) array operations of length O(k), in O(k) memory, in int64
+and exact modulo 2^64.  The criterion reads K mod 4 alone, straight from
+K mod 2^64.  Only exact K (`jacobi_K`, through `_reduce`) pays for more:
+where an a priori bound does not keep it inside int64, the same steps
+modulo a prime P < 2^31 give each coordinate by CRT, and a bound of 2^93
+or more raises ValueError.
 
-The criterion reads K mod 4 alone.  It packs the parity u of (K + 1)/2
-into a GF(2) polynomial in one numpy pass and takes G = gcd(Phi_k mod 2,
-u) by the step the factored gcd with x^v + 1 takes for each Phi_d
-(`gf2poly.gcd_cyclotomic`).  Its multiplier is p: sigma_p fixes K, since
-J(chi^p, chi^p) = J(chi, chi) and 4^p = 4, so u(x^p) = u(x) mod Phi_k.
-When <2, p> is all of (Z/k)*, or the product over its orbits is nonzero
-mod Phi_k, the certificate shows G = 1 without Euclid, for phi(k) at or
-above the threshold of `gcd_cyclotomic`.  The gcd with x^v + 1 also tries
--1 there, a property of the sequence (K conj(K) = q); the criterion, which
-is to decide from K alone, does not.  Each ideal's g divides Phi_k, so
-g | u exactly when g | G: one remainder per ideal.
+The criterion packs the parity u of (K + 1)/2 into a GF(2) polynomial in
+one numpy pass and takes G = gcd(Phi_k mod 2, u) by the step the factored
+gcd with x^v + 1 takes for each Phi_d (`gf2poly.gcd_cyclotomic`).  Its
+multiplier is p: sigma_p fixes K, since J(chi^p, chi^p) = J(chi, chi) and
+4^p = 4, so u(x^p) = u(x) mod Phi_k.  When <2, p> is all of (Z/k)*, or the
+product over its orbits is nonzero mod Phi_k, the certificate shows G = 1
+without Euclid, for phi(k) at or above the threshold of `gcd_cyclotomic`.
+The gcd with x^v + 1 also tries -1 there, a property of the sequence
+(K conj(K) = q); the criterion, which is to decide from K alone, does
+not.  Each ideal's g divides Phi_k, so g | u exactly when g | G: one
+remainder per ideal.
 """
 
 from __future__ import annotations
@@ -108,19 +110,27 @@ def _psi_plan(k: int) -> tuple[int, tuple, tuple]:
 _CHECK_PRIME = 2**31 - 1
 
 
+def _reduce_wrapped(k: int, a: np.ndarray, modulus: int = 0) -> np.ndarray:
+    """The coordinates of sum a[j] x^j modulo Phi_k, modulo 2^64 (int64 wraps) or modulo `modulus`.
+
+    Folds a mod x^k - 1, multiplies by Psi_k, folds again and divides by
+    Psi_k exactly: (a mod Phi_k) Psi_k = a Psi_k mod (x^k - 1).  Each step is
+    a ring operation or an exact division by a monic x^d - 1 (a shift and
+    subtract or a strided cumulative sum, O(k 2^omega(k)) in all), so the
+    result is exact modulo every divisor of 2^64, 4 included.
+    """
+    _, psi, inverse = _psi_plan(k)
+    times_psi = _fold_sum(_times_mobius(_fold_sum(a, k), psi, modulus), k)
+    return _times_mobius(times_psi, inverse, modulus)
+
+
 def _reduce(k: int, vec) -> tuple[int, ...]:
     """Coordinates of sum vec[j] x^j modulo Phi_k, exactly.
 
-    With Psi_k = (x^k - 1)/Phi_k, (vec mod Phi_k) * Psi_k = vec * Psi_k mod
-    (x^k - 1): fold vec mod x^k - 1, multiply by Psi_k, fold again and
-    divide by Psi_k exactly.  Psi_k and 1/Psi_k are products of
-    (x^d - 1)^(+-1) over the divisors d < k of k, so each step is a shift
-    and subtract or a strided cumulative sum, O(k 2^omega(k)) in all.
-
-    vec must fit in int64, and the steps run in int64, which gives each
-    coordinate modulo 2^64.  No coordinate exceeds B = |vec|_1 * growth
-    (see `_psi_plan`).  Where B reaches 2^62, the same steps also run
-    modulo P = `_CHECK_PRIME`, and each coordinate whose two residues mod P
+    vec must fit in int64, and `_reduce_wrapped` gives each coordinate
+    modulo 2^64.  No coordinate exceeds B = |vec|_1 * growth (see
+    `_psi_plan`).  Where B reaches 2^62, the same steps also run modulo
+    P = `_CHECK_PRIME`, and each coordinate whose two residues mod P
     disagree comes from CRT, exact while B < 2^63 P.  B >= 2^93 raises
     ValueError.  (B is summed in float64; its rounding is far inside the
     factor 2 each threshold leaves.)
@@ -130,22 +140,16 @@ def _reduce(k: int, vec) -> tuple[int, ...]:
             vec = np.array([int(c) for c in vec], dtype=np.int64)
         except OverflowError:
             raise ValueError(f"an input coordinate of the reduction mod Phi_{k} does not fit in int64") from None
-    growth, psi, inverse = _psi_plan(k)
-    bound = float(np.abs(vec, dtype=np.float64).sum()) * growth
+    bound = float(np.abs(vec, dtype=np.float64).sum()) * _psi_plan(k)[0]
     if bound >= 2.0**93:
         raise ValueError(
             f"the reduction mod Phi_{k} is exact below a bound of 2^93; this input's is 2^{math.log2(bound):.1f}"
         )
-
-    def steps(a, modulus=0):
-        times_psi = _fold_sum(_times_mobius(_fold_sum(a, k), psi, modulus), k)
-        return _times_mobius(times_psi, inverse, modulus)
-
-    wrapped = steps(vec)
+    wrapped = _reduce_wrapped(k, vec)
     coords = wrapped.tolist()
     if bound >= 2.0**62:
         P = _CHECK_PRIME
-        residues = steps(vec % P, P)
+        residues = _reduce_wrapped(k, vec % P, P)
         inverse_of_2_64 = pow(2**64, -1, P)
         for i in np.flatnonzero(wrapped % P != residues).tolist():
             # the coordinate is coords[i] + 2^64 t with |t| <= (P - 1)/2
@@ -193,18 +197,17 @@ def _require_valid_k(q: int, k: int) -> None:
         raise ValueError(f"k = {k} does not divide q - 1 = {q - 1}")
 
 
-def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
-    """K = chi(4) * sum over i of chi(alpha^i) chi(1 - alpha^i), exactly.
-
-    Accumulates one integer count per exponent class mod k, then performs a
-    single reduction into the power basis.
-    """
+def _class_counts(ctx: FieldCtx, k: int) -> np.ndarray:
+    """counts[j] = #{i in [1, q - 2] : i + log(1 - alpha^i) + log 4 = j mod k}, so K = sum counts[j] zeta^j."""
     q = ctx.q
     _require_valid_k(q, k)
     i = np.arange(1, q - 1, dtype=np.int64)
-    classes = (i + ctx.zech_table[1 : q - 1] + ctx.log4) % k
-    counts = np.bincount(classes, minlength=k)
-    return CycInt.from_exponent_counts(k, counts)
+    return np.bincount((i + ctx.zech_table[1 : q - 1] + ctx.log4) % k, minlength=k)
+
+
+def jacobi_K(ctx: FieldCtx, k: int) -> CycInt:
+    """K = chi(4) * sum over i of chi(alpha^i) chi(1 - alpha^i), exactly: the class counts, reduced once."""
+    return CycInt.from_exponent_counts(k, _class_counts(ctx, k))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +223,8 @@ def criterion(ctx: FieldCtx, k: int) -> tuple[bool, ...]:
     The ideal (2, g(zeta)) contains (K + 1)/2 exactly when g divides its
     coordinates mod 2, read as a polynomial in zeta over GF(2).
     """
-    coeffs = jacobi_K(ctx, k).coeffs
-    # the parity of (K + 1)/2 needs K mod 4 only, which c & 3 reads from any int
-    w = np.array([c & 3 for c in coeffs], dtype=np.int64)
+    # the parity of (K + 1)/2 needs K mod 4 only, which K mod 2^64 holds
+    w = _reduce_wrapped(k, _class_counts(ctx, k)) & 3
     w[0] += 1
     if (w & 1).any():
         raise ArithmeticError("K + 1 is not divisible by 2; upstream computation is inconsistent")

@@ -24,7 +24,7 @@ up to FIELD_SIZE_BOUND; a context keeps one int32 array of length q - 1,
 from __future__ import annotations
 
 import math
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -218,27 +218,25 @@ def _is_irreducible(f, p: int) -> bool:
 
 
 def _primitive_element(p: int, m: int, C: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """The least primitive g (coordinates in product() order) and its matrix g(C).
+    """The least primitive g, coordinates (g_0, ..., g_{m-1}) read as the base-p code g_0 g_1 ..., and g(C).
 
-    Candidates go in stacks of _STACK; g is primitive iff g^((q-1)/r) != 1
-    for every prime r | q - 1.
+    Codes go in stacks of _STACK; g is primitive iff g^((q-1)/r) != 1 for every prime r | q - 1.
     """
     n = p**m - 1
     exponents = [n // r for r in prime_factors(n)]
     eye = np.eye(m, dtype=np.int64)
-    candidates = product(range(p), repeat=m)
-    next(candidates)  # zero
-    while stack := list(islice(candidates, _STACK)):
-        coords = np.array(stack, dtype=np.int64)
-        G = np.zeros((len(stack), m, m), dtype=np.int64)
+    places = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for start in range(1, n + 1, _STACK):  # code 0 is zero
+        coords = np.arange(start, min(start + _STACK, n + 1), dtype=np.int64)[:, None] // places % p
+        G = np.zeros((len(coords), m, m), dtype=np.int64)
         for g_j in coords.T[::-1]:  # Horner: g(C) = (...(g_{m-1} C + g_{m-2}) C + ...) + g_0
             G = (G @ C + g_j[:, None, None] * eye) % p
-        primitive = np.ones(len(stack), dtype=bool)
+        primitive = np.ones(len(coords), dtype=bool)
         for e in exponents:
             primitive &= ~(_mat_pow(G, e, p) == eye).all(axis=(1, 2))
         if primitive.any():
             i = int(np.argmax(primitive))
-            return stack[i], G[i]
+            return tuple(coords[i].tolist()), G[i]
     raise RuntimeError("no primitive element found")  # unreachable for a field
 
 

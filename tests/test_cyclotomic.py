@@ -37,7 +37,7 @@ from oracles import (
 )
 from slce import cyclotomic
 from slce.cli import _odd_prime_powers_upto
-from slce.cyclotomic import CycInt, _psi_plan, _reduce, criterion, ideal_factors, jacobi_K
+from slce.cyclotomic import CycInt, _psi_plan, _reduce, _reduce_wrapped, criterion, ideal_factors, jacobi_K
 from slce.fields import FIELD_SIZE_BOUND, build_field, divisors
 from slce.gf2poly import _gcd_int, _mod_int, _multiplier_certificate, cyclotomic_mod2, gcd_cyclotomic, to_str
 from slce.sequences import generate
@@ -331,6 +331,13 @@ def test_criterion_reference_cases():
     assert criterion(build_field(3, 6), 7) == (True, True)
 
 
+def _with_extra_count(ctx, k, j):
+    """The class counts of K + zeta^j: one more i in class j."""
+    counts = cyclotomic._class_counts(ctx, k)
+    counts[j] += 1
+    return counts
+
+
 def test_half_K_plus_one_hard_error_path(monkeypatch):
     # shifting K by 1 breaks the parity guarantee and must raise
     ctx = build_field(13, 1)
@@ -340,7 +347,9 @@ def test_half_K_plus_one_hard_error_path(monkeypatch):
     w[0] += 1
     assert all(c % 2 == 0 for c in w)
     assert u == CycInt(3, tuple(c // 2 for c in w))
-    monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: CycInt(3, (k.coeffs[0] + 1, k.coeffs[1])))
+    counts = _with_extra_count(ctx, 3, 0)
+    monkeypatch.setattr(cyclotomic, "_class_counts", lambda *_: counts)
+    assert jacobi_K(ctx, 3) == CycInt(3, (k.coeffs[0] + 1, k.coeffs[1]))
     with pytest.raises(ArithmeticError):
         half_K_plus_one(ctx, 3)
     with pytest.raises(ArithmeticError):
@@ -349,25 +358,53 @@ def test_half_K_plus_one_hard_error_path(monkeypatch):
 
 def test_criterion_raises_on_odd_coordinate_beyond_the_first(monkeypatch):
     ctx = build_field(31, 1)
-    k = jacobi_K(ctx, 5)
-    monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: cyc_add(k, zeta_power(5, 3)))
+    K = jacobi_K(ctx, 5)
+    counts = _with_extra_count(ctx, 5, 3)
+    monkeypatch.setattr(cyclotomic, "_class_counts", lambda *_: counts)
+    assert jacobi_K(ctx, 5) == cyc_add(K, zeta_power(5, 3))
     with pytest.raises(ArithmeticError):
         criterion(ctx, 5)
 
 
-@pytest.mark.parametrize("p,m,k", [(31, 1, 5), (3, 6, 7), (3, 4, 5)])
-def test_criterion_on_coordinates_beyond_int64(monkeypatch, p, m, k):
-    # K + 2^64 zeta^j has the same (K + 1)/2 mod 2 but no longer fits int64
-    ctx = build_field(p, m)
-    K = jacobi_K(ctx, k)
-    expected = criterion(ctx, k)
-    big = CycInt(k, tuple(2**64 if j == 1 else 0 for j in range(len(K.coeffs))))
-    monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: cyc_add(K, big))
-    assert criterion(ctx, k) == expected == criterion_by_elements(ctx, k)
-    odd = CycInt(k, tuple(2**64 + 1 if j == 2 else 0 for j in range(len(K.coeffs))))
-    monkeypatch.setattr(cyclotomic, "jacobi_K", lambda *_: cyc_add(K, odd))
-    with pytest.raises(ArithmeticError):
-        criterion(ctx, k)
+def test_wrapped_reduction_holds_exact_reduction_mod_4_beyond_int64():
+    # the criterion reads K mod 4 from `_reduce_wrapped`; on inputs whose bound reaches 2^62, where
+    # `_reduce` needs its residue check, the wrapped coordinates still agree with it mod 4
+    def check(k, vec):
+        exact = _reduce(k, vec)
+        wrapped = _reduce_wrapped(k, np.array(vec, dtype=np.int64)) & 3
+        assert wrapped.tolist() == [c & 3 for c in exact], (k, vec)
+        return exact
+
+    assert check(3, [2**62, 0, -(2**62)]) == (2**63, 2**62)
+    assert check(3, [-(2**63), 1, 0]) == (-(2**63), 1)
+    k = 105  # some x^j mod Phi_105 have a coordinate +-2
+    beyond = 0
+    for j in range(k):
+        for top in (2**62, 2**62 + 1, -(2**62) - 3):
+            vec = [0] * k
+            vec[j], vec[(j + 1) % k] = top, 2**62 - 1
+            beyond += any(abs(c) >= 2**63 for c in check(k, vec))
+    assert beyond > 0  # some exact coordinates leave int64
+    rng = random.Random(11)
+    for k in range(3, 400, 2):
+        check(k, [rng.choice((2**62, -(2**62), -(2**63))) for _ in range(3 * k + 1)])
+
+
+def test_criterion_forms_no_exact_K(monkeypatch):
+    # the criterion reads K mod 4 from the wrapped reduction: no CycInt, no residue check, no 2^93 guard
+    rows = []
+    for q, p, m in _odd_prime_powers_upto(300):
+        ctx = build_field(p, m)
+        rows += [(ctx, k) for k in divisors(q - 1) if k % 2 and k >= 3]
+    expected = [criterion_by_elements(ctx, k) for ctx, k in rows]
+
+    def refuse(*_):
+        raise AssertionError("the criterion asked for exact K")
+
+    monkeypatch.setattr(cyclotomic, "_reduce", refuse)
+    monkeypatch.setattr(cyclotomic, "jacobi_K", refuse)
+    assert [criterion(ctx, k) for ctx, k in rows] == expected
+    assert len(rows) == 148
 
 
 def test_criterion_matches_element_path_on_every_row_to_3000():

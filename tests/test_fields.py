@@ -214,20 +214,22 @@ def test_tables_match_int64_oracle():
 
 
 def test_a_context_keeps_only_its_zech_table():
-    # GF(5^8): the context keeps one int32 array of length q - 1, 4 bytes per element (4.03 q
-    # measured); building it also holds an int32 discrete log table of length q, but never a
-    # table of the powers of alpha (peak 11.2 q measured)
-    q = 5**8
-    tracemalloc.start()
-    try:
-        ctx = build_field(5, 8)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 13 * q
-    assert retained < 5 * q
-    arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 1 and arrays[0] is ctx.zech_table and arrays[0].shape == (q - 1,)
+    # the context keeps one int32 array of length q - 1, 4 bytes per element (4.03 q measured);
+    # building it also holds an int32 discrete log table of length q, but never a table of the
+    # powers of alpha (peak 11.2 q measured at 5^8, 10.3 q at 100003), nor every element of GF(p)
+    # as a Python int while it looks for alpha (40 q at 100003)
+    for p, m in [(5, 8), (100003, 1)]:
+        q = p**m
+        tracemalloc.start()
+        try:
+            ctx = build_field(p, m)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * q, (p, m)
+        assert retained < 5 * q, (p, m)
+        arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is ctx.zech_table and arrays[0].shape == (q - 1,)
 
 
 def test_int32_tables_hold_every_code_and_log_up_to_the_size_bound():

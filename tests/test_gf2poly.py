@@ -151,6 +151,25 @@ def test_gcd_with_binomial_matches_euclid_on_every_field_to_3000():
         assert recombine(gcd_factors(q - 1, s2, p)) == gcd_by_divmod((1 << (q - 1)) | 1, s2), q
 
 
+def test_reciprocal_law_on_the_direct_data_to_3000():
+    # K conj(K) = q gives S2(x^-1) = S2(x) + [q = 3 mod 4] mod Phi_d for every odd d > 1 dividing v
+    # (ROADMAP item 9), and S2(1) = [q = 3 mod 4] too.  So x + 1 divides S2 exactly when q = 1 mod 4,
+    # and at q = 3 mod 4 at most one root of each pair beta, 1/beta is a root of the gcd, at most twice
+    # (v = 2 w, w odd): the linear complexity is at least v - (w - 1) = (q + 1)/2, with equality
+    # only at q = 3 (as measured to 20000)
+    at_3_mod_4 = 0
+    for q, p, m in _odd_prime_powers_upto(3000):
+        _, seq, s2 = field_bundle(p, m)
+        factors = gcd_factors(seq.v, s2, p)
+        assert any(h == 0b11 for h, _ in factors) == (q % 4 == 1), q
+        if q % 4 == 3:
+            complexity = seq.v - sum((h.bit_length() - 1) * e for h, e in factors)
+            assert complexity >= (q + 1) // 2, q
+            assert (complexity == (q + 1) // 2) == (q == 3), q
+            at_3_mod_4 += 1
+    assert at_3_mod_4 == 223
+
+
 def test_cyclotomic_mod2_is_phi_mod_2():
     for d in [*range(1, 2000, 2), 15015, 92823]:
         assert cyclotomic_mod2(d) == _from_coefficients(np.array(cyclotomic_poly(d)) & 1), d
