@@ -366,6 +366,28 @@ def test_criterion_raises_on_odd_coordinate_beyond_the_first(monkeypatch):
         criterion(ctx, 5)
 
 
+@pytest.mark.parametrize("p,m,k", [(31, 1, 5), (3, 6, 7), (3, 4, 5)])
+def test_criterion_on_coordinates_beyond_int64(monkeypatch, p, m, k):
+    # 2^62 more i in class j and 2^62 fewer in class k - 1 add 2^62 (zeta^j - zeta^(k-1)) to K:
+    # the same (K + 1)/2 mod 2, but an exact K with a coordinate beyond int64
+    ctx = build_field(p, m)
+    expected = criterion(ctx, k)
+
+    def shifted(j, extra):
+        counts = cyclotomic._class_counts(ctx, k)
+        counts[j] += 2**62 + extra
+        counts[k - 1] -= 2**62
+        monkeypatch.setattr(cyclotomic, "_class_counts", lambda *_: counts)
+        assert any(abs(c) >= 2**63 for c in jacobi_K(ctx, k).coeffs)
+
+    shifted(1, 0)
+    assert criterion(ctx, k) == expected == criterion_by_elements(ctx, k)
+    monkeypatch.undo()
+    shifted(2, 1)  # one more i in class 2: an odd coordinate beyond int64
+    with pytest.raises(ArithmeticError):
+        criterion(ctx, k)
+
+
 def test_wrapped_reduction_holds_exact_reduction_mod_4_beyond_int64():
     # the criterion reads K mod 4 from `_reduce_wrapped`; on inputs whose bound reaches 2^62, where
     # `_reduce` needs its residue check, the wrapped coordinates still agree with it mod 4
