@@ -53,11 +53,26 @@ def _times_mobius(a: np.ndarray, factors, modulus: int = 0) -> np.ndarray:
     Multiplies first and then divides exactly, so every partial result is a
     polynomial.  int64 arithmetic wraps modulo 2^64 and both steps commute
     with that wrap (x^d - 1 is a unit at both ends), so the result is exact
-    whenever its own coefficients fit.  With a modulus, every step is
-    reduced modulo it, and the result is the product's residues.
+    whenever its own coefficients fit.  With a modulus below 2^31, the
+    result is the product's residues in [0, modulus), and no step wraps:
+    `bound` holds an a priori bound on every |coefficient|, which a product
+    by x^d - 1 at most doubles and a division by it multiplies by at most
+    its ceil(n/d) rows (a sum of that many entries).  The coefficients are
+    reduced back below the modulus only before a step that could take them
+    to 2^62 or past it; after a reduction, bound < 2^31 * ceil(n/d) < 2^62
+    for every length n < 2^31.  So every intermediate stays inside int64.
     """
+    if modulus:
+        a = a % modulus
+        bound = modulus
     for d, e in sorted(factors, key=lambda f: -f[1]):
         n = len(a)
+        if modulus:
+            growth = 2 if e > 0 else -(-n // d)
+            if bound * growth >= 2**62:
+                a = a % modulus
+                bound = modulus
+            bound *= growth
         if e > 0:
             nxt = np.zeros(n + d, dtype=a.dtype)
             nxt[d:] += a
@@ -68,14 +83,11 @@ def _times_mobius(a: np.ndarray, factors, modulus: int = 0) -> np.ndarray:
             if n % d:
                 a = np.concatenate((a, np.zeros(d - n % d, dtype=a.dtype)))
             acc = np.cumsum(a.reshape(-1, d), axis=0).ravel()
-            if modulus:
-                acc %= modulus
-            if acc[n - d : n].any():
+            remainder = acc[n - d : n] % modulus if modulus else acc[n - d : n]
+            if remainder.any():
                 raise ArithmeticError(f"x^{d} - 1 does not divide the partial product")
             a = -acc[: n - d]
-        if modulus:
-            a %= modulus
-    return a
+    return a % modulus if modulus else a
 
 
 def _fold_sum(a: np.ndarray, k: int) -> np.ndarray:

@@ -11,20 +11,22 @@ matrix of multiplication by x on GF(p)[x]/(f): an element g is the matrix
 g(C), whose column i holds the coordinates of g * x^i.  The package reads
 a field only through the Zech logarithm, the log of 1 - alpha^t (the
 sequence reads its parity, the Jacobi sum counts it by class), and the log
-of 4.  The powers of alpha come from giant steps by a power of the matrix
-of alpha, in float64 so that the products run in BLAS; they are exact
-because m (p - 1)^2 + p < 2^53 for every field up to FIELD_SIZE_BOUND.
+of 4.  The powers alpha^t, t < (q-1)/2, come from giant steps by a power
+of the matrix of alpha, in floating point so that the products run in
+BLAS: float32 where m (p - 1)^2 + p < 2^24 (every field with m >= 2 and
+every prime field up to p = 4093), float64 otherwise, exact because
+m (p - 1)^2 + p < 2^53 for every field up to FIELD_SIZE_BOUND.  The other
+half comes from -1 = alpha^((q-1)/2): alpha^(t + (q-1)/2) = -alpha^t.
 Their logs, kept only while the context is built, give the Zech table
-through -1 = alpha^((q-1)/2): 1 - alpha^t = -(alpha^t - 1), and alpha^t - 1
-differs from alpha^t in the constant coordinate only.  Intended scale is q
-up to FIELD_SIZE_BOUND; a context keeps one int32 array of length q - 1,
-4 bytes per element.
+through the same -1: 1 - alpha^t = -(alpha^t - 1), and alpha^t - 1 differs
+from alpha^t in the constant coordinate only.  Intended scale is q up to
+FIELD_SIZE_BOUND; a context keeps one int32 array of length q - 1, 4 bytes
+per element.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -32,7 +34,8 @@ FIELD_SIZE_BOUND = 2_000_000
 _TRIAL_DIVISION_BOUND = 1 << 20  # prime_factors refuses a cofactor with no prime factor up to this
 
 _BLOCK = 4096  # columns per giant step; a power of two (see _build_tables)
-_STACK = 64  # candidate primitive elements tested together (see _primitive_element)
+_TERMS_PER_CHUNK = 4096  # terms rendered together (see poly_str)
+_STACK = 8  # candidate moduli or primitive elements tested together (see canonical_modulus, _primitive_element)
 
 
 # (base, least odd composite that passes Miller-Rabin to it and every base before it): OEIS A014233
@@ -147,8 +150,8 @@ def order_and_primes(a: int, n: int) -> tuple[int, tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # Matrices over GF(p), entries in [0, p): int64, except in the giant steps of
-# FieldCtx._build_tables, which run in float64.  Products stay below
-# m * p^2, far inside int64 for every field up to FIELD_SIZE_BOUND.
+# FieldCtx._build_tables, which run in float32 or float64.  Products stay
+# below m * p^2, far inside int64 for every field up to FIELD_SIZE_BOUND.
 # ---------------------------------------------------------------------------
 
 
@@ -174,13 +177,14 @@ def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def _reduce_mod(Y: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Y mod p in place, for float64 Y holding integers in [0, 2^53 - p).
+    """Y mod p in place, for float64 Y holding integers in [0, 2^53 - p), or float32 Y in [0, 2^24 - p).
 
-    Y - p floor(Y / p) is exact there: with Y = k p + r, 0 <= r < p, the
-    quotient k + r/p lies at least 1/p below k + 1, more than half an ulp
-    of k + 1 because p (k + 1) <= Y + p < 2^53, so the correctly rounded
-    Y / p floors to k.  (np.fmod is exact too, but several times slower.)
-    `scratch`, of Y's shape, saves one temporary.
+    With b = 53 or 24 the precision of Y's dtype, Y - p floor(Y / p) is
+    exact there: with Y = k p + r, 0 <= r < p, the quotient k + r/p lies at
+    least 1/p below k + 1, more than half an ulp of k + 1 because
+    p (k + 1) <= Y + p < 2^b, so the correctly rounded Y / p floors to k.
+    (np.fmod is exact too, but several times slower.)  `scratch`, of Y's
+    shape and dtype, saves one temporary.
     """
     scratch = np.divide(Y, p, out=scratch)
     np.floor(scratch, out=scratch)
@@ -189,16 +193,29 @@ def _reduce_mod(Y: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.
     return Y
 
 
+def _giant_step_dtype(p: int, m: int) -> type:
+    """float32 where the giant steps of `_build_tables` are exact in it, m (p - 1)^2 + p < 2^24, else float64."""
+    return np.float32 if m * (p - 1) ** 2 + p < 2**24 else np.float64
+
+
 def _invertible(M: np.ndarray, p: int) -> bool:
-    """Whether the square matrix M is invertible mod p, by Gaussian elimination."""
-    M = M % p
-    for c in range(len(M)):
-        rows = np.flatnonzero(M[c:, c])
-        if rows.size == 0:
+    """Whether the square matrix M is invertible mod p, by Gaussian elimination on lists of ints.
+
+    The matrices are small (m <= 13 up to FIELD_SIZE_BOUND), where a row of
+    Python ints costs less than a numpy call per step.
+    """
+    rows = (M % p).tolist()
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
             return False
-        M[[c, c + rows[0]]] = M[[c + rows[0], c]]
-        M[c] = M[c] * pow(int(M[c, c]), -1, p) % p
-        M[c + 1 :] = (M[c + 1 :] - np.outer(M[c + 1 :, c], M[c])) % p
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        inverse = pow(top[c], -1, p)
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] * inverse % p
+            if factor:
+                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], top)]
     return True
 
 
@@ -240,33 +257,56 @@ def _primitive_element(p: int, m: int, C: np.ndarray) -> tuple[tuple[int, ...], 
     raise RuntimeError("no primitive element found")  # unreachable for a field
 
 
+def _join_terms(coeffs: np.ndarray, exponents: np.ndarray) -> str:
+    """The terms of coeffs at `exponents` (descending, each coefficient nonzero), joined by '+'."""
+    return "+".join(
+        [
+            (f"x^{i}" if i > 1 else "x" if i else "1")
+            if c == 1
+            else (f"{c}x^{i}" if i > 1 else f"{c}x" if i else str(c))
+            for i, c in zip(exponents.tolist(), coeffs[exponents].tolist())
+        ]
+    )
+
+
 def poly_str(coeffs) -> str:
-    """Render a GF(p) polynomial, descending powers: 'x^2+4x+1'."""
+    """Render a GF(p) polynomial, descending powers: 'x^2+4x+1'.
+
+    A polynomial of more than _TERMS_PER_CHUNK terms is rendered one chunk
+    of that many terms at a time, so a long one (Phi_k mod 2 has up to about
+    10^6 terms) never holds one string per term besides the text.
+    """
     coeffs = np.asarray(coeffs)
-    exponents = np.flatnonzero(coeffs)[::-1]
-    terms = []
-    for i, c in zip(exponents.tolist(), coeffs[exponents].tolist()):
-        if i == 0:
-            terms.append(str(c))
-        else:
-            var = "x" if i == 1 else f"x^{i}"
-            terms.append(var if c == 1 else f"{c}{var}")
-    return "+".join(terms) if terms else "0"
+    exponents = coeffs.nonzero()[0][::-1]
+    if len(exponents) <= _TERMS_PER_CHUNK:
+        return _join_terms(coeffs, exponents) or "0"
+    return "+".join(
+        [_join_terms(coeffs, exponents[s : s + _TERMS_PER_CHUNK]) for s in range(0, len(exponents), _TERMS_PER_CHUNK)]
+    )
 
 
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p).
 
     Coefficient tuples (c0, ..., c_{m-1}) are compared constant term first;
-    the returned tuple includes the leading 1.
+    the returned tuple includes the leading 1.  Candidates go in stacks of
+    _STACK, read as base-p codes c0 c1 ... c_{m-1} from c0 = 1 on (a zero
+    constant term would make x a factor).  Every candidate with a root in
+    GF(p), found by Horner at each x in GF(p) at once, is reducible and is
+    dropped (Ben-Or's first round); `_is_irreducible` tests the rest in order.
     """
     if m == 1:
         return (0, 1)  # x itself: the smallest monic linear, trivially irreducible
-    for c0 in range(1, p):  # zero constant term would make x a factor
-        for tail in product(range(p), repeat=m - 1):
-            f = [c0, *tail, 1]
-            if _is_irreducible(f, p):
-                return tuple(f)
+    places = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    x = np.arange(p, dtype=np.int64)
+    for start in range(p ** (m - 1), p**m, _STACK):
+        coords = np.arange(start, min(start + _STACK, p**m), dtype=np.int64)[:, None] // places % p
+        values = np.ones((len(coords), p), dtype=np.int64)  # the leading 1
+        for c_j in coords.T[::-1]:
+            values = (values * x + c_j[:, None]) % p
+        for f in coords[values.all(axis=1)].tolist():
+            if _is_irreducible([*f, 1], p):
+                return (*f, 1)
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable
 
 
@@ -314,67 +354,94 @@ class FieldCtx:
         """zech_table and log4 from A, the matrix of multiplication by alpha.
 
         The columns of X are the coordinates of alpha^t for one block of t,
-        and a giant step X <- A^block X mod p moves to the next block.  The
-        matrix products run in float64 (BLAS), which is exact: entries lie
-        in [0, p), so every partial sum of a dot product is an integer of at
-        most m (p - 1)^2, and that plus p stays below 2^53 for every field up
-        to FIELD_SIZE_BOUND (a test pins this), as `_reduce_mod` needs to
-        bring the products back into [0, p).  The code of an element, below
-        q, is sum c_i p^i over its coordinates c_i; a discrete log table,
-        dlog[code of alpha^t] = t, lives only while the context is built.
+        and a giant step X <- A^block X mod p moves to the next block, for
+        t < n/2 only.  The matrix products run in floating point (BLAS),
+        which is exact: entries lie in [0, p), so every partial sum of a dot
+        product is an integer of at most m (p - 1)^2, and `_reduce_mod`
+        needs that plus p below 2^24 in float32 or 2^53 in float64 to bring
+        the products back into [0, p).  float32 serves wherever it is exact,
+        float64 everywhere else up to FIELD_SIZE_BOUND (a test pins both).
+        The code of an element, below q, is sum c_i p^i over its coordinates
+        c_i; a table of the logs of the negatives, neg_log[code of y] = the
+        log of -y, lives only while the context is built.
 
-        The Zech logarithm zech[t] = dlog(1 - alpha^t) needs no second pass
-        over the coordinates: -1 = alpha^(n/2), so 1 - alpha^t is
-        alpha^(n/2) (alpha^t - 1), and alpha^t - 1 differs from alpha^t only
-        in the constant coordinate c0.  Its code is that of alpha^t minus 1,
-        or plus p - 1 when c0 = 0; then zech[t] = dlog[that code] + n/2 mod
-        n, and zech[0] = -1.  A constant c has the code c mod p, so log4 is
-        dlog[4 mod p].  Both tables are int32: a code is below q + p and a
-        log plus n/2 below 3n/2, under 2^31 for every q up to FIELD_SIZE_BOUND.
+        The other half needs no giant step: where alpha^(n/2) = -1,
+        alpha^(t + n/2) = -alpha^t, whose coordinates are p - c_i where c_i
+        is nonzero, so its code is p code([X != 0]) - code(alpha^t), below
+        3q/2 (exact in float32 too up to FIELD_SIZE_BOUND), and neg_log
+        takes t + n/2 at the code of alpha^t and t at that of -alpha^t.
+        Before the tables are kept, alpha^(n/2) = A alpha^(n/2 - 1), from
+        the last column built, must be -1, and neg_log must cover GF(q)*
+        once; both hold exactly when alpha is primitive.  The check of -1 is
+        needed: an alpha of order n/2 with -1 outside <alpha> (q = 3 mod 4)
+        covers GF(q)* too.
+
+        The Zech logarithm zech[t], the log of 1 - alpha^t = -(alpha^t - 1),
+        needs no second pass over the coordinates: alpha^t - 1 differs from
+        alpha^t only in the constant coordinate c0.  Its code is that of
+        alpha^t minus 1, or plus p - 1 when c0 = 0 (and c0 = 0 exactly when
+        the constant coordinate of -alpha^t is 0); then zech[t] = neg_log[that
+        code], and zech[0] = -1.  A constant c has the code c mod p, so log4
+        is neg_log[-4 mod p].  Both tables are int32: a code is below 3q/2
+        and a log below n, under 2^31 for every q up to FIELD_SIZE_BOUND.
         """
         p, m, q = self.p, self.m, self.q
         n = q - 1
-        block = min(_BLOCK, n)
+        half = n // 2
+        dtype = _giant_step_dtype(p, m)
+        block = min(_BLOCK, half)
         # Columns 0..block-1 hold alpha^t, built by doubling: X = [X | A^w X]
-        # with w the current width.  When n > block, block = _BLOCK is a power
-        # of two, so the last A^w is A^block, the giant step between blocks.
-        X = np.zeros((m, 1))
+        # with w the current width.  When half > block, block = _BLOCK is a
+        # power of two, so the last A^w is A^block, the giant step between blocks.
+        X = np.zeros((m, 1), dtype=dtype)
         X[0, 0] = 1
-        step = A.astype(np.float64)
+        step = A.astype(dtype)
         while X.shape[1] < block:
             X = np.hstack([X, _reduce_mod(step @ X[:, : block - X.shape[1]], p)])
             step = _reduce_mod(step @ step, p)
 
-        pow_p = p ** np.arange(m, dtype=np.float64)
-        zech = np.empty(n, dtype=np.int32)  # the code of alpha^t - 1 until dlog is known
-        dlog = np.full(q, -1, dtype=np.int32)
-        codes = np.empty(block)
+        pow_p = p ** np.arange(m, dtype=dtype)
+        zech = np.empty(n, dtype=np.int32)  # the code of alpha^t - 1 until neg_log is known
+        neg_log = np.full(q, -1, dtype=np.int32)
+        codes = np.empty(block, dtype=dtype)
+        negated = np.empty(block, dtype=dtype)
+        adjust = np.empty(block, dtype=dtype)
         next_X = np.empty_like(X)
         scratch = np.empty_like(X)
+        logs = np.arange(block, dtype=np.int32)
 
         start = 0
-        while start < n:
-            width = min(block, n - start)
+        while start < half:
+            width = min(block, half - start)
             np.matmul(pow_p, X, out=codes)
-            dlog[codes[:width].astype(np.int64)] = np.arange(start, start + width, dtype=np.int32)
-            codes += p * (X[0] == 0) - 1
-            zech[start : start + width] = codes[:width]
+            np.matmul(pow_p, np.minimum(X, 1, out=scratch), out=negated)  # code([X != 0])
+            negated *= p
+            negated -= codes
+            neg_log[codes[:width].astype(np.intp)] = logs[:width] + (start + half)
+            neg_log[negated[:width].astype(np.intp)] = logs[:width] + start
+            np.multiply(X[0, :width] == 0, p, out=adjust[:width])
+            adjust -= 1
+            np.add(codes[:width], adjust[:width], out=zech[start : start + width], casting="unsafe")
+            np.add(negated[:width], adjust[:width], out=zech[start + half : start + half + width], casting="unsafe")
             start += width
-            if start < n:
+            if start < half:
                 _reduce_mod(np.matmul(step, X, out=next_X), p, scratch)
                 X, next_X = next_X, X
 
-        if np.count_nonzero(dlog < 0) != 1 or dlog[0] != -1:
+        # alpha^(n/2) = A alpha^(n/2 - 1), the last column built
+        last = A @ X[:, width - 1].astype(np.int64) % p
+        if last[0] != p - 1 or last[1:].any():
+            raise RuntimeError("alpha^((q-1)/2) is not -1; element is not primitive")
+        if np.count_nonzero(neg_log < 0) != 1 or neg_log[0] != -1:
             raise RuntimeError("the powers of alpha are not a bijection; element is not primitive")
 
         for start in range(0, n, block):
-            zech[start : start + block] = dlog[zech[start : start + block]]
-        zech += n // 2
-        zech %= n
+            # out is the index slice itself: np.take buffers out in its default mode
+            np.take(neg_log, zech[start : start + block], out=zech[start : start + block])
         zech[0] = -1  # 1 - alpha^0 = 0
         zech.setflags(write=False)
         self.zech_table = zech
-        self.log4 = int(dlog[4 % p])
+        self.log4 = int(neg_log[-4 % p])
 
     def describe(self) -> dict:
         """Echo of the deterministic choices, embedded in every report."""

@@ -55,9 +55,12 @@ The GF(p)[x] list arithmetic (coefficient lists, constant term first) is
 the construction `slce.fields` replaced with the companion matrix of the
 modulus: `is_irreducible_by_gcd` is Ben-Or's test by polynomial gcds and
 `field_by_lists` finds the modulus, alpha and the matrix of multiplication
-by alpha (`alpha_matrix`) with lists alone.  `trace` takes the trace of the
-multiplication matrix, independent of the Frobenius sum in
-`gaussnum._traces`.
+by alpha (`alpha_matrix`) with lists alone.
+`canonical_modulus_one_at_a_time` is the modulus search that
+`slce.fields.canonical_modulus` replaced, Ben-Or on one candidate at a
+time; the package drops the candidates with a root in GF(p) a stack at a
+time first.  `trace` takes the trace of the multiplication matrix,
+independent of the Frobenius sum in `gaussnum._traces`.
 
 The element operations (`encode`, `decode`, `zero`, `one`, `from_int`,
 arithmetic, `dlog`, `trace`) act on one `FieldElt`, a coordinate tuple,
@@ -87,6 +90,7 @@ from slce.cli import DIRECT_VERIFY_BOUND, _odd_prime_powers_upto, _verify_rows
 from slce.cyclotomic import CycInt, _reduce, _require_valid_k, _times_mobius
 from slce.fields import (
     FieldCtx,
+    _is_irreducible,
     divisors,
     euler_phi,
     is_prime,
@@ -807,6 +811,20 @@ def field_by_lists(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], np
         g for g in product(range(p), repeat=m) if any(g) and all(ppowmod(list(g), n // r, f, p) != [1] for r in primes)
     )
     return tuple(f), alpha, alpha_matrix(p, f, alpha)
+
+
+def canonical_modulus_one_at_a_time(p: int, m: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree m >= 2 in constant-term-first tuple order, each tested by Ben-Or alone.
+
+    The search `slce.fields.canonical_modulus` replaced: one candidate at a
+    time, every one through the package's matrix Ben-Or test.
+    """
+    for c0 in range(1, p):
+        for tail in product(range(p), repeat=m - 1):
+            f = [c0, *tail, 1]
+            if _is_irreducible(f, p):
+                return tuple(f)
+    raise RuntimeError(f"no irreducible of degree {m} over GF({p})")
 
 
 def alpha_matrix(p: int, modulus, alpha) -> np.ndarray:

@@ -37,8 +37,18 @@ from oracles import (
 )
 from slce import cyclotomic
 from slce.cli import _odd_prime_powers_upto
-from slce.cyclotomic import CycInt, _psi_plan, _reduce, _reduce_wrapped, criterion, ideal_factors, jacobi_K
-from slce.fields import FIELD_SIZE_BOUND, build_field, divisors
+from slce.cyclotomic import (
+    CycInt,
+    _CHECK_PRIME,
+    _psi_plan,
+    _reduce,
+    _reduce_wrapped,
+    _times_mobius,
+    criterion,
+    ideal_factors,
+    jacobi_K,
+)
+from slce.fields import FIELD_SIZE_BOUND, build_field, divisors, mobius_factors
 from slce.gf2poly import _gcd_int, _mod_int, _multiplier_certificate, cyclotomic_mod2, gcd_cyclotomic, to_str
 from slce.sequences import generate
 
@@ -123,6 +133,34 @@ def test_reduce_matches_long_division(ks, scales):
             assert _reduce(k, edges) == reduce_by_long_division(k, edges), k
         counts = np.array([rng.randrange(0, 2 * k) for _ in range(k)], dtype=np.int64)
         assert _reduce(k, counts) == reduce_by_long_division(k, counts), k
+
+
+@pytest.mark.parametrize("k", [15015, 3 * 5 * 7 * 11 * 17])
+def test_residue_steps_match_exact_products_where_their_bound_passes_2_62(k):
+    # `_times_mobius` with a modulus reduces only when its a priori bound would pass 2^62; along
+    # Psi_k and Phi_k for these k that happens mid-chain, and the residues must equal the exact
+    # products (Python integers) reduced once at the end, as must those of the whole reduction
+    P = _CHECK_PRIME
+    a = np.random.default_rng(k).integers(-(2**62), 2**62, size=k)
+    for factors in (_psi_plan(k)[1], mobius_factors(k)):
+        bound, n = P, k
+        for d, e in sorted(factors, key=lambda f: -f[1]):
+            bound, n = bound * (2 if e > 0 else -(-n // d)), n + d * e
+        assert bound >= 2**62 * P  # more than one reduction along the chain
+        exact = _times_mobius(a.astype(object), factors)
+        assert _times_mobius(a, factors, P).tolist() == [c % P for c in exact.tolist()], factors
+    exact = _reduce_wrapped(k, a.astype(object))
+    assert _reduce_wrapped(k, a, P).tolist() == [c % P for c in exact.tolist()]
+
+
+def test_residue_steps_are_exact_where_the_product_leaves_int64():
+    # a (x - 1)^40 has coefficients beyond 2^63 for random a below P: steps that let them wrap
+    # modulo 2^64 would give wrong residues, so `_times_mobius` must reduce along the way
+    P = _CHECK_PRIME
+    a = np.random.default_rng(40).integers(0, P, size=1000)
+    exact = _times_mobius(a.astype(object), [(1, 1)] * 40)
+    assert max(abs(c) for c in exact.tolist()) >= 2**63
+    assert _times_mobius(a, [(1, 1)] * 40, P).tolist() == [c % P for c in exact.tolist()]
 
 
 def test_reduce_results_beyond_int64_are_exact():

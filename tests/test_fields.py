@@ -11,6 +11,7 @@ from gaussnum import _traces
 from oracles import (
     FieldElt,
     add,
+    canonical_modulus_one_at_a_time,
     decode,
     dlog,
     exp_dlog,
@@ -31,6 +32,7 @@ from oracles import (
 from slce import fields
 from slce.cli import _odd_prime_powers_upto
 from slce.fields import (
+    FieldCtx,
     build_field,
     canonical_modulus,
     divisors,
@@ -203,7 +205,7 @@ def test_tables_match_powering_at_block_boundaries():
 
 
 def test_tables_match_int64_oracle():
-    assert len(ORACLE_FIELDS) == 455 + 7
+    assert len(ORACLE_FIELDS) == 455 + 9
     for p, m in ORACLE_FIELDS:
         ctx = build_field(p, m)
         _, A = _primitive_element(p, m, _companion(ctx.modulus, p))
@@ -233,45 +235,114 @@ def test_a_context_keeps_only_its_zech_table():
 
 
 def test_int32_tables_hold_every_code_and_log_up_to_the_size_bound():
-    # _build_tables keeps codes (below q + p) and logs plus n/2 (below 3n/2) in int32
+    # _build_tables keeps codes (below 3q/2) and logs (below q - 1) in int32
     assert fields.FIELD_SIZE_BOUND * 3 // 2 < 2**31
     assert 2 * fields.FIELD_SIZE_BOUND < 2**31
 
 
-def test_float_giant_steps_are_exact_up_to_the_size_bound():
-    # _build_tables multiplies matrices with entries in [0, p) in float64: every partial sum
-    # of a dot product is an integer of at most m (p - 1)^2, exact below 2^53, and _reduce_mod
-    # needs that plus p below 2^53
-    bound = fields.FIELD_SIZE_BOUND
+def _fields_up_to(bound):
+    """Every (p, m), p an odd prime and p^m <= bound."""
     sieve = np.ones(bound + 1, dtype=bool)
     sieve[:2] = False
     for r in range(2, math.isqrt(bound) + 1):
         if sieve[r]:
             sieve[r * r :: r] = False
-    odd_primes = np.flatnonzero(sieve)[1:]
-    worst = []  # for each m, the largest m (p - 1)^2 + p is at the largest p with p^m <= bound
-    for m in range(1, bound.bit_length()):
-        root = int(bound ** (1 / m)) + 1
-        while root**m > bound:
-            root -= 1
-        fit = odd_primes[odd_primes <= root]
-        if fit.size:
-            p = int(fit[-1])
-            worst.append((m * (p - 1) ** 2 + p, p, m))
-    largest, p, m = max(worst)
+    return [(p, m) for p in np.flatnonzero(sieve)[1:].tolist() for m in range(1, bound.bit_length()) if p**m <= bound]
+
+
+def test_float_giant_steps_are_exact_up_to_the_size_bound():
+    # _build_tables multiplies matrices with entries in [0, p) in float32 or float64: every
+    # partial sum of a dot product is an integer of at most m (p - 1)^2, and _reduce_mod needs
+    # that plus p below 2^24 or 2^53.  The codes of alpha^t (below q) and p code([y != 0]), from
+    # which the code of -alpha^t is taken, are sums of integers and must stay below 2^24 in float32
+    widest = {np.float32: [], np.float64: []}
+    for p, m in _fields_up_to(fields.FIELD_SIZE_BOUND):
+        q = p**m
+        dtype = fields._giant_step_dtype(p, m)
+        widest[dtype].append((m * (p - 1) ** 2 + p, p, m))
+        if dtype is np.float32:
+            assert m * (p - 1) ** 2 + p < 2**24, (p, m)
+            assert q - 1 < 2**24 and p * ((q - 1) // (p - 1)) < 2**24, (p, m)  # largest code, p code([y != 0])
+        assert dtype is np.float32 or m == 1 and p > 4093, (p, m)  # float32 for every m >= 2 and p <= 4093
+    largest, p, m = max(widest[np.float64])
     assert largest < 2**53
     assert (p, m) == (1999993, 1)  # the field of the CI's largest gcd step
+    assert max(widest[np.float32])[1:] == (4093, 1) and min(widest[np.float64])[1:] == (4099, 1)
 
 
 def test_reduce_mod_is_exact_up_to_its_bound():
     rng = np.random.default_rng(13)
-    for p in (3, 13, 1999993, 2**26 - 5, 2**31 - 1):
-        k_max = (2**53 - p) // p - 1  # the largest k with k p + p - 1 < 2^53 - p
+    for dtype, bits, p in [(np.float64, 53, p) for p in (3, 13, 1999993, 2**26 - 5, 2**31 - 1)] + [
+        (np.float32, 24, p) for p in (3, 13, 1409, 4093, 2**20 - 3)
+    ]:
+        k_max = (2**bits - p) // p - 1  # the largest k with k p + p - 1 < 2^bits - p
         ks = np.concatenate([[0, 1, k_max], rng.integers(0, k_max, 2000, endpoint=True)])
         rs = np.concatenate([[0, 1, p - 1], rng.integers(0, p, 2000)])
         Y = [int(k) * p + int(r) for k in ks for r in rs[:3]] + [int(k) * p + int(r) for k, r in zip(ks, rs)]
-        got = fields._reduce_mod(np.array(Y, dtype=np.float64), p)
-        assert [int(y) % p for y in Y] == got.astype(np.int64).tolist(), p
+        values = np.array(Y, dtype=dtype)
+        assert values.astype(np.int64).tolist() == Y, p  # every input is exact in dtype
+        got = fields._reduce_mod(values, p)
+        assert got.dtype == dtype
+        assert [int(y) % p for y in Y] == got.astype(np.int64).tolist(), (dtype, p)
+
+
+def test_tables_refuse_an_alpha_that_is_not_primitive():
+    # at q = 3 mod 4, alpha^2 has order (q - 1)/2 and -1 is not among its powers, so the codes of
+    # +-alpha^(2t), t < (q - 1)/2, cover GF(q)* once; only alpha^((q - 1)/2) != -1 gives it away
+    for p, m in [(7, 1), (3, 3), (11, 1), (19, 1), (3, 5), (7, 3), (4099, 1), (3, 13)]:
+        q = p**m
+        assert q % 4 == 3
+        ctx = build_field(p, m)
+        _, A = _primitive_element(p, m, _companion(ctx.modulus, p))
+        square = A @ A % p
+        codes = exp_dlog(ctx)[0][0 : q - 1 : 2]  # the codes of alpha^(2t)
+        negated = [sum((-c % p) * p**i for i, c in enumerate(decode(ctx, int(code)).coeffs)) for code in codes[:50]]
+        assert set(negated).isdisjoint(codes.tolist())  # -alpha^(2t) is never a power of alpha^2
+        bare = FieldCtx.__new__(FieldCtx)
+        bare.p, bare.m, bare.q = p, m, q
+        with pytest.raises(RuntimeError, match="is not -1"):
+            bare._build_tables(square)
+        bare._build_tables(A)  # the generator itself passes
+    # -1 itself at q = 7: alpha^3 = -1 holds, but +-(-1)^t gives two elements, not six
+    bare = FieldCtx.__new__(FieldCtx)
+    bare.p, bare.m, bare.q = 7, 1, 7
+    with pytest.raises(RuntimeError, match="not a bijection"):
+        bare._build_tables(np.array([[6]]))
+
+
+def test_canonical_modulus_matches_one_at_a_time_oracle():
+    # every (p, m >= 2) up to the size bound: the stacks that drop candidates with a root in
+    # GF(p) before Ben-Or find the same modulus as Ben-Or on each candidate in order
+    pms = [(p, m) for p, m in _fields_up_to(fields.FIELD_SIZE_BOUND) if m >= 2]
+    assert len(pms) == 283
+    for p, m in pms:
+        assert canonical_modulus(p, m) == canonical_modulus_one_at_a_time(p, m), (p, m)
+
+
+def test_poly_str_matches_the_per_term_join_across_chunks():
+    rng = np.random.default_rng(5)
+    for coeffs in (rng.integers(0, 7, 3 * fields._TERMS_PER_CHUNK + 5), np.ones(fields._TERMS_PER_CHUNK + 1, dtype=np.uint8)):
+        terms = []
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = int(coeffs[i])
+            var = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            if c:
+                terms.append(var if c == 1 and var else f"{c}{var}")
+        assert fields.poly_str(coeffs) == "+".join(terms)
+
+
+def test_poly_str_holds_no_string_per_term():
+    # 200,000 terms: one string per term held until the join peaked at 13.7 times the text's length
+    coeffs = np.ones(300_000, dtype=np.uint8)
+    coeffs[::3] = 0
+    tracemalloc.start()
+    try:
+        text = fields.poly_str(coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("x^299999+x^299998+x^299996+") and text.endswith("+x^4+x^2+x")
+    assert peak < 4 * len(text)
 
 
 def test_field_ops():
